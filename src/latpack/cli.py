@@ -64,7 +64,9 @@ def cmd_density(args, out):
     p = _params(args)
     k = args.k or 0
     density = craig.center_density_lb(p, k)
-    guarantee = 8 * p.m if k else 2 * p.m
+    guarantee = p.norm_guarantee()  # 2m, which needs a prime l
+    if k:
+        guarantee *= 4  # the lifted code's distance 8m
     _density_block(out, p, k, density, guarantee, _precision(args))
 
 

@@ -9,7 +9,9 @@ integer comparisons, never the entropy approximation.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
+from importlib.resources import files
 
 from .errors import CapacityError, ParameterError, ParseError
 from .exactnum import _log2_fixed, binom_sum
@@ -73,14 +75,17 @@ def gf_mul(q: int, a: int, b: int) -> int:
     return _reduce(_clmul(a, b), _MODULUS[q])
 
 
-def gf_rank(q: int, rows) -> int:
-    """Rank of a matrix over GF(q) by Gaussian elimination."""
-    work = [list(r) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
+def _gf_eliminate(q: int, work, ncols: int) -> list[int]:
+    """Reduced row echelon form over GF(q) of the first ``ncols`` columns of ``work``.
+
+    Works in place on whole rows, so columns past ``ncols`` (an appended
+    identity, say) record the row operations.  Returns the pivot columns.
+    """
+    pivcols = []
     for c in range(ncols):
+        rank = len(pivcols)
+        if rank == len(work):
+            break
         piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
         if piv is None:
             continue
@@ -91,34 +96,28 @@ def gf_rank(q: int, rows) -> int:
             if i != rank and work[i][c]:
                 f = work[i][c]
                 work[i] = [gf_add(x, gf_mul(q, f, y)) for x, y in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+        pivcols.append(c)
+    return pivcols
+
+
+def gf_rank(q: int, rows) -> int:
+    """Rank of a matrix over GF(q) by Gaussian elimination."""
+    work = [list(r) for r in rows]
+    if not work:
+        return 0
+    return len(_gf_eliminate(q, work, len(work[0])))
 
 
 def gf_solve(q: int, rows, target):
-    """Coefficients x with sum x_i * rows[i] = target over GF(q), or None."""
+    """Coefficients x with sum x_i * rows[i] = target over GF(q), or None.
+
+    Eliminates [rows | I]; the identity columns of a pivot row give its
+    coefficients over the original rows.
+    """
     nrows = len(rows)
     ncols = len(rows[0])
-    aug = [list(r) + [0] * nrows for r in rows]
-    for i in range(nrows):
-        aug[i][ncols + i] = 1
-    rank = 0
-    pivcols = []
-    for c in range(ncols):
-        piv = next((i for i in range(rank, nrows) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = next(e for e in range(1, q) if gf_mul(q, aug[rank][c], e) == 1)
-        aug[rank] = [gf_mul(q, inv, x) for x in aug[rank]]
-        for i in range(nrows):
-            if i != rank and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [gf_add(x, gf_mul(q, f, y)) for x, y in zip(aug[i], aug[rank])]
-        pivcols.append(c)
-        rank += 1
+    aug = [list(r) + [1 if i == j else 0 for j in range(nrows)] for i, r in enumerate(rows)]
+    pivcols = _gf_eliminate(q, aug, ncols)
     x = [0] * nrows
     residual = list(target)
     for i, c in enumerate(pivcols):
@@ -369,40 +368,40 @@ class CodeTable:
             best = max(best, 1)  # repetition code
         return best
 
-    def specs(self):
-        for (q, n, k), d in sorted(self.known.items()):
-            yield CodeSpec(q, n, k, d, TABLE_KNOWN)
+
+def read_csv_rows(path, header_field: str, nfields: int):
+    """Yield (line, stripped fields) for each data row of a CSV file.
+
+    Blank rows and rows starting with '#' are skipped, as is a first row
+    whose first field is ``header_field``; any other row must have exactly
+    ``nfields`` fields.
+    """
+    with open(path, newline="") as fh:
+        for ln, row in enumerate(csv.reader(fh), start=1):
+            if not row or row[0].startswith("#"):
+                continue
+            if ln == 1 and row[0].strip().lower() == header_field:
+                continue
+            if len(row) != nfields:
+                raise ParseError(f"{path}: line {ln}: expected {nfields} fields, got {len(row)}")
+            yield ln, [x.strip() for x in row]
 
 
 def load_code_table(path) -> CodeTable:
     """CSV with header q,n,k,d,status; status 'table' normalizes to table-known."""
     table = CodeTable()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for ln, row in enumerate(reader, start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if ln == 1 and row[0].strip().lower() == "q":
-                continue
-            if len(row) != 5:
-                raise ParseError(f"{path}: line {ln}: expected 5 fields, got {len(row)}")
-            try:
-                q, n, k, d = (int(x) for x in row[:4])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {ln}: {exc}") from None
-            status = row[4].strip()
-            if status == "table":
-                status = TABLE_KNOWN
-            try:
-                table.add(q, n, k, d, status)
-            except ParameterError as exc:
-                raise ParseError(f"{path}: line {ln}: {exc}") from None
+    for ln, row in read_csv_rows(path, "q", 5):
+        try:
+            q, n, k, d = (int(x) for x in row[:4])
+            table.add(q, n, k, d, TABLE_KNOWN if row[4] == "table" else row[4])
+        except ValueError as exc:  # ParameterError from add() included
+            raise ParseError(f"{path}: line {ln}: {exc}") from None
     return table
 
 
+@functools.cache
 def builtin_code_table() -> CodeTable:
-    from importlib.resources import files
-
+    """The packaged code table, loaded once and shared: callers must not add to it."""
     return load_code_table(files("latpack").joinpath("data/codes.csv"))
 
 

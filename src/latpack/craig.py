@@ -105,11 +105,10 @@ class IntegerLattice:
 class LogDensity:
     """Center-density lower bound held exactly as delta^2 (a positive rational)."""
 
-    __slots__ = ("delta_sq", "rendered", "provenance")
+    __slots__ = ("delta_sq", "provenance")
 
-    def __init__(self, delta_sq: BigRationalSqrt, provenance: str = "plain", digits: int = 4):
+    def __init__(self, delta_sq: BigRationalSqrt, provenance: str = "plain"):
         self.delta_sq = delta_sq
-        self.rendered = log2_of(delta_sq, digits)
         self.provenance = provenance
 
     def log2(self, digits: int = 4) -> str:
@@ -119,7 +118,7 @@ class LogDensity:
         return self.delta_sq.log2_fraction(frac_bits)
 
     def __repr__(self) -> str:
-        return f"LogDensity(2^{self.rendered}, {self.provenance})"
+        return f"LogDensity(2^{self.log2(4)}, {self.provenance})"
 
 
 def _binomial_row(j: int, width: int) -> list[int]:
@@ -188,8 +187,9 @@ def center_density_lb(p: CraigParams, k: int, provenance: str | None = None) -> 
     k = 0 is the bare lattice (norm >= 2m); k > 0 assumes a supporting
     [n+1, k, >= 8m] code, which the caller is responsible for checking.
     """
-    if k < 0:
-        raise ParameterError("k must be nonnegative")
+    if not 0 <= k <= p.n:
+        # The subcode lives inside the [n+1, n, 2] even-weight code.
+        raise ParameterError(f"need 0 <= k <= n = {p.n}, got k={k}")
     n, m, l = p.n, p.m, p.l
     num = p.m**n
     den = l ** (2 * (m - 1)) * (n + 1)

@@ -70,7 +70,6 @@ class LiftResult:
 class ConditionalVerdict:
     required: CodeSpec
     achieved_density: LogDensity
-    target_density: object | None  # LogDensity or decimal string of the record to beat
     status: str  # realized | open | refuted-by-table
 
 
@@ -156,10 +155,6 @@ def lift_with_length_n_code(
     return LiftResult(p, c.spec, center_density_lb(p, c.k, "lifted"), 8 * p.m, result.lattice)
 
 
-def _nearest_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
-
-
 def improve_craig_8x(p: int) -> LiftResult:
     """Eightfold density improvement of the best Craig lattice in dimension p-1.
 
@@ -172,7 +167,7 @@ def improve_craig_8x(p: int) -> LiftResult:
     n = p - 1
     if n < 1222:
         raise ParameterError("regime requires p - 1 >= 1222 (inner distance may fall short)")
-    m = _nearest_half_up(n / (2.0 * math.log(n + 1)))
+    m = math.floor(n / (2.0 * math.log(n + 1)) + 0.5)  # nearest, half up
     params = CraigParams(n, m, p)
     n7 = n // 7
     cc = concatenate(repetition(n7, 8), dual_hamming_7_3_4())
@@ -187,7 +182,6 @@ def conditional_eval(
     p: CraigParams,
     required: CodeSpec,
     table: CodeTable | None = None,
-    target=None,
 ) -> ConditionalVerdict:
     """Density a hypothetical code would achieve, with a table-backed verdict.
 
@@ -212,7 +206,7 @@ def conditional_eval(
         status = "refuted-by-table"
     else:
         status = "open"
-    return ConditionalVerdict(required, achieved, target, status)
+    return ConditionalVerdict(required, achieved, status)
 
 
 def mordell_weil_density(p: int) -> LogDensity:

@@ -8,16 +8,16 @@ in the discrepancy ledger.
 
 from __future__ import annotations
 
-import csv
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib.resources import files
 
 from .errors import ParameterError, ParseError
-from .exactnum import next_prime
+from .exactnum import div_round_half_even, format_scaled
 from .craig import CraigParams, LogDensity, center_density_lb
 from . import codes as codes_mod
-from .codes import CodeSpec, CodeTable, gv_max_k
+from .codes import CodeSpec, CodeTable, read_csv_rows
 from . import lift as lift_mod
 
 __all__ = [
@@ -75,36 +75,19 @@ class RecordTable:
 def ingest(path) -> RecordTable:
     """Records CSV with header dim,log2_delta,name,source,kind."""
     table = RecordTable()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for ln, row in enumerate(reader, start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if ln == 1 and row[0].strip().lower() == "dim":
-                continue
-            if len(row) != 5:
-                raise ParseError(f"{path}: line {ln}: expected 5 fields, got {len(row)}")
-            try:
-                entry = RecordEntry(int(row[0]), row[1].strip(), row[2].strip(),
-                                    row[3].strip(), row[4].strip())
-                Fraction(entry.log2_delta)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"{path}: line {ln}: {exc}") from None
-            try:
-                table.add(entry)
-            except ParameterError as exc:
-                raise ParseError(f"{path}: line {ln}: {exc}") from None
+    for ln, row in read_csv_rows(path, "dim", 5):
+        try:
+            entry = RecordEntry(int(row[0]), *row[1:])
+            Fraction(entry.log2_delta)
+            table.add(entry)
+        except (ValueError, ZeroDivisionError) as exc:  # ParameterError included
+            raise ParseError(f"{path}: line {ln}: {exc}") from None
     return table
 
 
-_builtin_records: RecordTable | None = None
-
-
+@functools.cache
 def builtin_records() -> RecordTable:
-    global _builtin_records
-    if _builtin_records is None:
-        _builtin_records = ingest(files("latpack").joinpath("data/records.csv"))
-    return _builtin_records
+    return ingest(files("latpack").joinpath("data/records.csv"))
 
 
 @dataclass
@@ -123,10 +106,7 @@ def _as_log2_fraction(candidate) -> Fraction:
 
 
 def _fmt4(x: Fraction) -> str:
-    scaled = round(x * 10000)
-    sign = "-" if scaled < 0 else ""
-    mag = abs(scaled)
-    return f"{sign}{mag // 10000}.{mag % 10000:04d}"
+    return format_scaled(div_round_half_even(x.numerator * 10**4, x.denominator), 4)
 
 
 def compare(dim: int, candidate, records: RecordTable | None = None) -> CompareVerdict:
@@ -136,16 +116,9 @@ def compare(dim: int, candidate, records: RecordTable | None = None) -> CompareV
     best = records.best_record(dim)
     if best is None:
         raise ParameterError(f"no record stored for dimension {dim}")
-    margin = _as_log2_fraction(candidate) - best.value()
-    rendered = _fmt4(margin)
-    if rendered == "-0.0000":
-        rendered = "0.0000"
-    if Fraction(rendered) > 0:
-        relation = "beats"
-    elif Fraction(rendered) < 0:
-        relation = "below"
-    else:
-        relation = "ties"
+    rendered = _fmt4(_as_log2_fraction(candidate) - best.value())
+    shown = Fraction(rendered)
+    relation = "beats" if shown > 0 else "below" if shown < 0 else "ties"
     return CompareVerdict(relation, rendered, best)
 
 
@@ -182,33 +155,19 @@ class _RawRow:
     known_name: str
 
 
-_raw_rows: list[_RawRow] | None = None
-
-
+@functools.cache
 def _load_raw_rows() -> list[_RawRow]:
-    global _raw_rows
-    if _raw_rows is not None:
-        return _raw_rows
     rows = []
     path = files("latpack").joinpath("data/published_tables.csv")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for ln, row in enumerate(reader, start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if ln == 1 and row[0].strip().lower() == "table":
-                continue
-            if len(row) != 10:
-                raise ParseError(f"published_tables.csv: line {ln}: expected 10 fields")
-            t, dim, kind, m, l, k, stated, alt, known, known_name = (x.strip() for x in row)
-            rows.append(
-                _RawRow(
-                    int(t), int(dim), kind,
-                    int(m) if m else None, int(l) if l else None, int(k) if k else None,
-                    stated, alt, known, known_name,
-                )
+    for _, row in read_csv_rows(path, "table", 10):
+        t, dim, kind, m, l, k, stated, alt, known, known_name = row
+        rows.append(
+            _RawRow(
+                int(t), int(dim), kind,
+                int(m) if m else None, int(l) if l else None, int(k) if k else None,
+                stated, alt, known, known_name,
             )
-    _raw_rows = rows
+        )
     return rows
 
 
@@ -243,19 +202,16 @@ def _compute_row(raw: _RawRow, code_table: CodeTable):
             f"{formula.density.log2(4)} (m={formula.params.m})"
         )
     if raw.kind == "mwbeat":
+        # The table states k = floor(0.3776 (p-1)); the search owns the
+        # parameters and the exact GV k.
         p = (raw.dim + 2) // 2
-        n = raw.dim
-        m = (p - 1) // 16
-        l = next_prime(2 * p + 1)
-        d = (p - 1) // 2
+        result = lift_mod.mw_beater_search(p)
+        params = result.params
         k_stated = 3776 * (p - 1) // 10000
-        k_exact = gv_max_k(n, d)
-        params = CraigParams(n, m, l)
         val = center_density_lb(params, k_stated, "lifted").log2_fraction()
-        exact_val = center_density_lb(params, k_exact, "lifted")
         return val, (
-            f"(p={p}, m={m}, l={l}, k={k_stated}); exact GV k={k_exact} "
-            f"gives {exact_val.log2(4)}"
+            f"(p={p}, m={params.m}, l={params.l}, k={k_stated}); exact GV k={result.code.k} "
+            f"gives {result.density.log2(4)}"
         )
     if raw.kind == "pipeline24":
         result = lift_mod.pipeline_24n(raw.dim)

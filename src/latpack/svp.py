@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import CapacityError, ParameterError, RankError
 from .craig import IntegerLattice
-from .exactnum import IntMatrix
+from .exactnum import IntMatrix, div_round_half_even
 
 __all__ = ["ReducedBasis", "Certificate", "lll_reduce", "shortest_vector", "verify_min_norm"]
 
@@ -23,7 +23,7 @@ RANK_CAP = 40
 class ReducedBasis:
     basis: IntMatrix
     gso_norms: list  # Fractions, squared norms of the orthogonalized rows
-    reduction_quality: Fraction
+    mu: list  # Fractions, mu[i][j] = <b_i, b*_j> / |b*_j|^2 for j < i
 
 
 @dataclass
@@ -39,21 +39,21 @@ def _dot(u, v):
 
 
 def _round_half_even(x: Fraction) -> int:
-    q, r = divmod(x.numerator, x.denominator)
-    twice = 2 * r
-    if twice > x.denominator or (twice == x.denominator and q % 2 == 1):
-        q += 1
-    return q
+    return div_round_half_even(x.numerator, x.denominator)
+
+
+def _basis_rows(lattice) -> list[list[int]]:
+    """Copy of the basis rows of an IntegerLattice, an IntMatrix or a list of rows."""
+    if isinstance(lattice, IntegerLattice):
+        lattice = lattice.basis
+    if isinstance(lattice, IntMatrix):
+        lattice = lattice.m
+    return [list(r) for r in lattice]
 
 
 def lll_reduce(lattice, quality: Fraction = Fraction(99, 100)) -> ReducedBasis:
     """LLL-reduce a basis with exact rational Gram-Schmidt data."""
-    if isinstance(lattice, IntegerLattice):
-        basis = [list(r) for r in lattice.basis.m]
-    elif isinstance(lattice, IntMatrix):
-        basis = [list(r) for r in lattice.m]
-    else:
-        basis = [list(r) for r in lattice]
+    basis = _basis_rows(lattice)
     quality = Fraction(quality)
     if not (Fraction(1, 4) < quality < 1):
         raise ParameterError("quality must lie in (1/4, 1)")
@@ -93,7 +93,7 @@ def lll_reduce(lattice, quality: Fraction = Fraction(99, 100)) -> ReducedBasis:
             mu, star, star_sq = compute_gso()
             k = max(k - 1, 1)
     mu, star, star_sq = compute_gso()
-    return ReducedBasis(IntMatrix(basis), star_sq, quality)
+    return ReducedBasis(IntMatrix(basis), star_sq, mu)
 
 
 def shortest_vector(lattice, rank_cap: int = RANK_CAP):
@@ -102,29 +102,13 @@ def shortest_vector(lattice, rank_cap: int = RANK_CAP):
     Deterministic Fincke-Pohst depth-first search on an LLL-reduced basis,
     pruning with exact rational interval tests.
     """
-    if isinstance(lattice, IntegerLattice):
-        rank = lattice.rank
-    elif isinstance(lattice, IntMatrix):
-        rank = lattice.rows
-    else:
-        rank = len(lattice)
-    if rank > rank_cap:
-        raise CapacityError(f"rank {rank} exceeds enumeration cap {rank_cap}")
-    red = lll_reduce(lattice)
-    rows = red.basis.m
+    rows = _basis_rows(lattice)
+    if len(rows) > rank_cap:
+        raise CapacityError(f"rank {len(rows)} exceeds enumeration cap {rank_cap}")
+    red = lll_reduce(rows)
+    rows, mu, star_sq = red.basis.m, red.mu, red.gso_norms
     r = len(rows)
     gram = [[_dot(rows[i], rows[j]) for j in range(r)] for i in range(r)]
-    # Recompute mu from the reduced basis.
-    mu = [[Fraction(0)] * r for _ in range(r)]
-    star_sq = list(red.gso_norms)
-    star = []
-    for i in range(r):
-        v = [Fraction(x) for x in rows[i]]
-        for j in range(i):
-            mu_ij = _dot([Fraction(x) for x in rows[i]], star[j]) / star_sq[j]
-            mu[i][j] = mu_ij
-            v = [a - mu_ij * b for a, b in zip(v, star[j])]
-        star.append(v)
 
     norms = [gram[i][i] for i in range(r)]
     best = min(norms)

@@ -1,4 +1,5 @@
 import io
+import time
 
 from latpack.cli import run
 from latpack.craig import read_basis
@@ -59,6 +60,17 @@ def test_exit_codes():
     assert run(["density", "--n", "4", "--m", "9", "--l", "5"], io.StringIO()) == 2
     assert run(["construct", "--n", "600"], io.StringIO()) == 3
     assert run(["table", "--id", "11"], io.StringIO()) == 2
+    # The 2m norm guarantee needs a prime l; 55 = 5 * 11.
+    assert run(["density", "--n", "52", "--m", "6", "--l", "55"], io.StringIO()) == 2
+    # k > n: no subcode of the [n+1, n, 2] even-weight code has dimension k.
+    assert run(["density", "--n", "52", "--m", "6", "--l", "53", "--k", "999"],
+               io.StringIO()) == 2
+    # Precision is capped at 1000 digits, so every precision answers promptly.
+    start = time.perf_counter()
+    assert run(["--precision", "1001", "density", "--n", "52"], io.StringIO()) == 2
+    assert run(["--precision", "100000", "density", "--n", "52"], io.StringIO()) == 2
+    assert run(["--precision", "1000", "density", "--n", "52"], io.StringIO()) == 0
+    assert time.perf_counter() - start < 10
 
 
 def test_table_subcommand():

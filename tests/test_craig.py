@@ -109,6 +109,15 @@ def test_center_density_examples():
     assert center_density_lb(CraigParams(360, 19, 367), 16).log2(4) == "443.0256"
 
 
+def test_center_density_rejects_k_above_n():
+    # The lifted subcode lies inside the [n+1, n, 2] even-weight code.
+    assert center_density_lb(CraigParams(52, 6, 53), 52).log2(4) == "61.7055"
+    with pytest.raises(ParameterError):
+        center_density_lb(CraigParams(52, 6, 53), 53)
+    with pytest.raises(ParameterError):
+        center_density_lb(CraigParams(52, 6, 53), 999)
+
+
 def test_center_density_matches_volume_form():
     # delta_plain^2 == (2m/4)^n / gram_det
     from fractions import Fraction

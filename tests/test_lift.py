@@ -232,7 +232,7 @@ def test_sweep_dimension():
 def test_sweep_deterministic():
     a = sweep_dimension(100)
     b = sweep_dimension(100)
-    assert (a.params, a.density.rendered) == (b.params, b.density.rendered)
+    assert (a.params, a.density.log2(4)) == (b.params, b.density.log2(4))
 
 
 def test_mordell_weil_density():

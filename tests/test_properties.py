@@ -1,0 +1,146 @@
+"""Property tests for the shared elimination, rounding and solving routines.
+
+One HNF elimination serves `hnf` and `hnf_basis`, one GF(q) elimination
+serves `gf_rank` and `gf_solve`, and one round-half-even path renders every
+margin; each property below checks one of them against an independent
+oracle (Gram determinants, brute-force spans, the polynomial membership
+criterion, `decimal` formatting).
+"""
+
+import itertools
+from decimal import Decimal
+from fractions import Fraction
+
+from hypothesis import assume, given, settings, strategies as st
+
+from latpack.codes import gf_add, gf_mul, gf_rank, gf_solve
+from latpack.craig import CraigParams, craig_basis, membership
+from latpack.errors import RankError
+from latpack.exactnum import IntMatrix, bareiss_det, gram_det, hnf, hnf_basis, next_prime, solve_left
+from latpack.records import RecordEntry, RecordTable, compare
+
+settings.register_profile("latpack", max_examples=150, deadline=None)
+settings.load_profile("latpack")
+
+
+@st.composite
+def int_matrices(draw):
+    rows = draw(st.integers(1, 4))
+    cols = rows + draw(st.integers(0, 2))
+    row = st.lists(st.integers(-9, 9), min_size=cols, max_size=cols)
+    return IntMatrix(draw(st.lists(row, min_size=rows, max_size=rows)))
+
+
+def is_hermite(rows) -> bool:
+    """Pivots strictly increase to the right and are positive; entries above
+    a pivot lie in [0, pivot)."""
+    prev = -1
+    for i, row in enumerate(rows):
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None or c <= prev or row[c] <= 0:
+            return False
+        if any(not 0 <= rows[t][c] < row[c] for t in range(i)):
+            return False
+        prev = c
+    return True
+
+
+@given(int_matrices())
+def test_hnf_transform_and_form(M):
+    try:
+        H, U = hnf(M)
+    except RankError:
+        assert gram_det(M) == 0
+        return
+    assert U.matmul(M) == H
+    assert abs(bareiss_det(U.m)) == 1
+    assert is_hermite(H.m)
+    assert hnf_basis(M) == H
+
+
+@given(int_matrices(), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_hnf_basis_of_generating_set(M, coeffs):
+    assume(any(any(r) for r in M.m))
+    extra = [sum(c * row[j] for c, row in zip(coeffs, M.m)) for j in range(M.cols)]
+    B = hnf_basis(IntMatrix(M.m + [extra]))
+    assert is_hermite(B.m)
+    assert all(solve_left(B, row) is not None for row in M.m)
+    if gram_det(M) != 0:
+        # A dependent extra row leaves the lattice, so the basis is M's HNF.
+        assert B == hnf(M)[0]
+
+
+@st.composite
+def craig_vectors(draw):
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(1, (n + 1) // 2))
+    l1 = next_prime(n + 1)
+    p = CraigParams(n, m, draw(st.sampled_from([l1, next_prime(l1 + 1)])))
+    rows = craig_basis(p).basis.m
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    v = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n + 1)]
+    if draw(st.booleans()):
+        bump = draw(st.lists(st.integers(-1, 1), min_size=n + 1, max_size=n + 1))
+        v = [a + b for a, b in zip(v, bump)]
+    return p, rows, v
+
+
+@given(craig_vectors())
+def test_solve_left_agrees_with_membership(case):
+    p, rows, v = case
+    x = solve_left(IntMatrix(rows), v)
+    assert (x is not None) == membership(p, v)
+    if x is not None:
+        assert [sum(c * r[j] for c, r in zip(x, rows)) for j in range(len(v))] == v
+
+
+def combine(q, coeffs, rows):
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [gf_add(a, gf_mul(q, c, b)) for a, b in zip(out, row)]
+    return out
+
+
+@given(st.sampled_from([2, 4, 8]), st.data())
+def test_gf_solve_and_rank_agree_with_brute_force_span(q, data):
+    k = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 5))
+    symbol = st.integers(0, q - 1)
+    rows = data.draw(st.lists(st.lists(symbol, min_size=n, max_size=n), min_size=k, max_size=k))
+    if data.draw(st.booleans()):
+        target = combine(q, data.draw(st.lists(symbol, min_size=k, max_size=k)), rows)
+    else:
+        target = data.draw(st.lists(symbol, min_size=n, max_size=n))
+    span = {tuple(combine(q, c, rows)) for c in itertools.product(range(q), repeat=k)}
+    inside = tuple(target) in span
+    x = gf_solve(q, rows, target)
+    assert (x is not None) == inside
+    if x is not None:
+        assert combine(q, x, rows) == target
+    assert (gf_rank(q, rows + [target]) == gf_rank(q, rows)) == inside
+
+
+def _records():
+    table = RecordTable()
+    table.add(RecordEntry(100, "50.0000", "reference", "test", "record"))
+    return table
+
+
+def test_compare_margin_ties_round_to_even():
+    cases = {
+        Fraction(1, 20000): ("ties", "0.0000"),
+        Fraction(-1, 20000): ("ties", "0.0000"),
+        Fraction(-3, 20000): ("below", "-0.0002"),
+        Fraction(3, 20000): ("beats", "0.0002"),
+    }
+    for delta, want in cases.items():
+        v = compare(100, 50 + delta, _records())
+        assert (v.relation, v.margin) == want, delta
+
+
+@given(st.fractions(min_value=-2, max_value=2, max_denominator=10**6))
+def test_compare_margin_matches_decimal_rounding(delta):
+    v = compare(100, 50 + delta, _records())
+    scaled = round(delta * 10000)  # Fraction.__round__ rounds half to even
+    assert v.margin == f"{Decimal(scaled).scaleb(-4):.4f}"
+    assert v.relation == ("beats" if scaled > 0 else "below" if scaled < 0 else "ties")
