@@ -1,12 +1,14 @@
 """Exact shortest-vector certification.
 
-LLL reduction with rational Gram-Schmidt followed by depth-first
-Fincke-Pohst enumeration.  All arithmetic is exact (ints and Fractions),
-so a returned minimum is a certificate, not an estimate.
+Integral LLL (Cohen, *A Course in Computational Algebraic Number Theory*,
+Alg. 2.6.7) followed by depth-first Fincke-Pohst enumeration scaled by the
+integral Gram determinants.  Both run on plain ints, so a returned minimum
+is a certificate, not an estimate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,9 +23,29 @@ RANK_CAP = 40
 
 @dataclass
 class ReducedBasis:
+    """An LLL-reduced basis with its integral Gram-Schmidt data.
+
+    ``d[i]`` is the Gram determinant of the first ``i`` rows (``d[0] = 1``),
+    so the i-th orthogonalized row has squared norm ``d[i+1] / d[i]``, and
+    ``lam[i][j] = d[j+1] * mu[i][j]`` (for ``j < i``) is an integer.
+    """
+
     basis: IntMatrix
-    gso_norms: list  # Fractions, squared norms of the orthogonalized rows
-    mu: list  # Fractions, mu[i][j] = <b_i, b*_j> / |b*_j|^2 for j < i
+    d: list  # ints, d[0] = 1 and d[i+1] = d[i] * |b*_i|^2
+    lam: list  # ints, lam[i] has the i entries lam[i][j], j < i
+
+    @property
+    def gso_norms(self) -> list:
+        """Fractions, squared norms of the orthogonalized rows."""
+        d = self.d
+        return [Fraction(d[i + 1], d[i]) for i in range(len(d) - 1)]
+
+    @property
+    def mu(self) -> list:
+        """Fractions, mu[i][j] = <b_i, b*_j> / |b*_j|^2 for j < i, and 0 for j >= i."""
+        r = len(self.lam)
+        return [[Fraction(row[j], self.d[j + 1]) if j < i else Fraction(0) for j in range(r)]
+                for i, row in enumerate(self.lam)]
 
 
 @dataclass
@@ -32,14 +54,11 @@ class Certificate:
     bound: int
     norm: int
     witness: list | None  # shortest vector when the bound is violated
+    nodes: int = 0  # enumeration nodes visited
 
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
-
-
-def _round_half_even(x: Fraction) -> int:
-    return div_round_half_even(x.numerator, x.denominator)
 
 
 def _basis_rows(lattice) -> list[list[int]]:
@@ -52,129 +71,152 @@ def _basis_rows(lattice) -> list[list[int]]:
 
 
 def lll_reduce(lattice, quality: Fraction = Fraction(99, 100)) -> ReducedBasis:
-    """LLL-reduce a basis with exact rational Gram-Schmidt data."""
+    """LLL-reduce a basis with integral Gram-Schmidt data (Cohen, Alg. 2.6.7).
+
+    Row k's data is computed the first time k reaches it and is updated in
+    place on every size reduction and swap.  b_k is size-reduced against
+    b_{k-1}, ..., b_0 before the Lovasz test.
+    """
     basis = _basis_rows(lattice)
     quality = Fraction(quality)
     if not (Fraction(1, 4) < quality < 1):
         raise ParameterError("quality must lie in (1/4, 1)")
+    a, b = quality.numerator, quality.denominator
     r = len(basis)
+    d = [1]
+    lam: list[list[int]] = []
 
-    def compute_gso():
-        mu = [[Fraction(0)] * r for _ in range(r)]
-        star = []
-        star_sq = []
-        for i in range(r):
-            v = [Fraction(x) for x in basis[i]]
-            for j in range(i):
-                if star_sq[j] == 0:
-                    raise RankError("dependent rows in basis")
-                mu_ij = _dot([Fraction(x) for x in basis[i]], star[j]) / star_sq[j]
-                mu[i][j] = mu_ij
-                v = [a - mu_ij * b for a, b in zip(v, star[j])]
-            star.append(v)
-            star_sq.append(_dot(v, v))
-            if star_sq[i] == 0:
+    def add_row(k: int) -> None:
+        lam_k: list[int] = []
+        for j in range(k + 1):
+            lam_j = lam[j] if j < k else lam_k
+            u = _dot(basis[k], basis[j])
+            for i in range(j):
+                u = (d[i + 1] * u - lam_k[i] * lam_j[i]) // d[i]
+            if j < k:
+                lam_k.append(u)
+            elif u == 0:
                 raise RankError("dependent rows in basis")
-        return mu, star, star_sq
+            else:
+                d.append(u)
+        lam.append(lam_k)
 
-    mu, star, star_sq = compute_gso()
+    if r:
+        add_row(0)
     k = 1
     while k < r:
+        if k == len(lam):
+            add_row(k)
+        lam_k = lam[k]
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                q = _round_half_even(mu[k][j])
-                basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
-                for t in range(j + 1):
-                    mu[k][t] -= q * (mu[j][t] if t < j else 1)
-        if star_sq[k] >= (quality - mu[k][k - 1] ** 2) * star_sq[k - 1]:
+            if 2 * abs(lam_k[j]) > d[j + 1]:
+                q = div_round_half_even(lam_k[j], d[j + 1])
+                basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
+                lam_j = lam[j]
+                for t in range(j):
+                    lam_k[t] -= q * lam_j[t]
+                lam_k[j] -= q * d[j + 1]
+        nu = lam_k[k - 1]
+        # |b*_k|^2 >= (quality - mu_{k,k-1}^2) |b*_{k-1}|^2, times b * d_k * d_{k-1}
+        if b * d[k + 1] * d[k - 1] >= a * d[k] * d[k] - b * nu * nu:
             k += 1
-        else:
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            mu, star, star_sq = compute_gso()
-            k = max(k - 1, 1)
-    mu, star, star_sq = compute_gso()
-    return ReducedBasis(IntMatrix(basis), star_sq, mu)
+            continue
+        basis[k - 1], basis[k] = basis[k], basis[k - 1]
+        lam[k - 1], lam[k] = lam_k[:k - 1], lam[k - 1] + [nu]
+        new_dk = (d[k - 1] * d[k + 1] + nu * nu) // d[k]
+        for lam_i in lam[k + 1:]:
+            t = lam_i[k]
+            lam_i[k] = (d[k + 1] * lam_i[k - 1] - nu * t) // d[k]
+            lam_i[k - 1] = (new_dk * t + nu * lam_i[k]) // d[k + 1]
+        d[k] = new_dk
+        k = max(k - 1, 1)
+    return ReducedBasis(IntMatrix(basis), d, lam)
 
 
-def shortest_vector(lattice, rank_cap: int = RANK_CAP):
+def shortest_vector(lattice, rank_cap: int = RANK_CAP, stats: dict | None = None):
     """Exact minimum squared norm over nonzero vectors, with a witness vector.
 
-    Deterministic Fincke-Pohst depth-first search on an LLL-reduced basis,
-    pruning with exact rational interval tests.
+    Deterministic Fincke-Pohst depth-first search on an LLL-reduced basis.
+    Level l adds |b*_l|^2 (x_l + sum_{t>l} mu_tl x_t)^2, which equals
+    (d_{l+1} x_l + C_l)^2 / (d_l d_{l+1}) with the integer centre numerator
+    C_l = sum_{t>l} lam_tl x_t; every norm is scaled by
+    L = lcm_l(d_l d_{l+1}), so each pruning test compares ints.  When
+    ``stats`` is given, ``stats["nodes"]`` is increased by the number of
+    enumeration nodes visited.
     """
     rows = _basis_rows(lattice)
     if len(rows) > rank_cap:
         raise CapacityError(f"rank {len(rows)} exceeds enumeration cap {rank_cap}")
     red = lll_reduce(rows)
-    rows, mu, star_sq = red.basis.m, red.mu, red.gso_norms
+    rows, d, lam = red.basis.m, red.d, red.lam
     r = len(rows)
-    gram = [[_dot(rows[i], rows[j]) for j in range(r)] for i in range(r)]
+    dens = [d[l] * d[l + 1] for l in range(r)]
+    scale_all = math.lcm(*dens)
+    scale = [scale_all // den for den in dens]
 
-    norms = [gram[i][i] for i in range(r)]
-    best = min(norms)
+    norms = [_dot(row, row) for row in rows]
+    shortest_row = min(norms)
+    best = shortest_row * scale_all
     best_x = [0] * r
-    best_x[norms.index(best)] = 1
+    best_x[norms.index(shortest_row)] = 1
 
     coeff = [0] * r
+    nodes = 0
 
-    def descend(level: int, partial: Fraction, centers: list) -> None:
-        nonlocal best, best_x
-        # centers[i] = sum_{t>i} mu[t][i] * x_t for already-fixed x_t
+    def descend(level: int, partial: int, centers: list) -> None:
+        nonlocal best, best_x, nodes
+        # centers[i] = C_i = sum_{t>i} lam[t][i] * x_t for already-fixed x_t
         if level < 0:
             if any(coeff):
-                norm = 0
-                for i in range(r):
-                    if coeff[i]:
-                        norm += coeff[i] * coeff[i] * gram[i][i]
-                        for j in range(i):
-                            if coeff[j]:
-                                norm += 2 * coeff[i] * coeff[j] * gram[i][j]
-                if 0 < norm < best:
-                    best = norm
-                    best_x = list(coeff)
+                best = partial
+                best_x = list(coeff)
             return
-        c = -centers[level]
-        base = _round_half_even(Fraction(c))
+        dl, cl, sl = d[level + 1], centers[level], scale[level]
+        base = div_round_half_even(-cl, dl)
         # Walk outward from the rounded center in both directions; the term
-        # B_level * (x - c)^2 is monotone in |x - c| so each direction stops
-        # at the first bound violation.
+        # is monotone in |x - center| so each direction stops at the first
+        # bound violation.
         order = [base]
         step = 1
         while True:
             grew = False
             for cand in (base + step, base - step):
-                term = star_sq[level] * (Fraction(cand) - c) ** 2
-                if partial + term < best:
+                if partial + (dl * cand + cl) ** 2 * sl < best:
                     order.append(cand)
                     grew = True
             if not grew:
                 break
             step += 1
         for cand in sorted(order):
-            term = star_sq[level] * (Fraction(cand) - c) ** 2
-            if partial + term >= best:
+            total = partial + (dl * cand + cl) ** 2 * sl
+            if total >= best:
                 continue
+            nodes += 1
             coeff[level] = cand
             if level == 0:
-                descend(-1, partial + term, centers)
+                descend(-1, total, centers)
             else:
                 new_centers = list(centers)
+                lam_l = lam[level]
                 for i in range(level):
-                    new_centers[i] += mu[level][i] * cand
-                descend(level - 1, partial + term, new_centers)
+                    new_centers[i] += lam_l[i] * cand
+                descend(level - 1, total, new_centers)
             coeff[level] = 0
 
-    descend(r - 1, Fraction(0), [Fraction(0)] * r)
+    descend(r - 1, 0, [0] * r)
+    if stats is not None:
+        stats["nodes"] = stats.get("nodes", 0) + nodes
     witness = [0] * len(rows[0])
     for i in range(r):
         if best_x[i]:
             witness = [w + best_x[i] * x for w, x in zip(witness, rows[i])]
-    return best, witness
+    return best // scale_all, witness
 
 
 def verify_min_norm(lattice, bound: int, rank_cap: int = RANK_CAP) -> Certificate:
     """Certificate that every nonzero vector has squared norm >= bound."""
-    norm, witness = shortest_vector(lattice, rank_cap)
+    stats = {"nodes": 0}
+    norm, witness = shortest_vector(lattice, rank_cap, stats)
     if norm >= bound:
-        return Certificate(True, bound, norm, None)
-    return Certificate(False, bound, norm, witness)
+        return Certificate(True, bound, norm, None, stats["nodes"])
+    return Certificate(False, bound, norm, witness, stats["nodes"])

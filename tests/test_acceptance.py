@@ -119,13 +119,14 @@ def test_criterion_1_volume_identity():
 
 def test_criterion_2_minimum_norm():
     checked = 0
-    for n in range(3, 15):
+    for n in range(3, 25):
         for l in first_primes_ge(n + 1, 2):
             for m in range(1, (n - 1) // 2 + 1):
                 norm, _ = shortest_vector(craig_basis(CraigParams(n, m, l)))
                 assert norm >= 2 * m, (n, m, l, norm)
                 checked += 1
-    _report(2, True, f"enumerated minimum >= 2m on {checked} lattices (n <= 14), exact")
+    assert checked == 264
+    _report(2, True, f"enumerated minimum >= 2m on {checked} lattices (n <= 24), exact")
 
 
 def _desk_lifts():

@@ -1,13 +1,14 @@
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from latpack.errors import CapacityError, ParameterError
-from latpack.exactnum import IntMatrix, gram_det
+from latpack.errors import CapacityError, ParameterError, RankError
+from latpack.exactnum import IntMatrix, gram_det, next_prime
 from latpack.craig import CraigParams, craig_basis
 from latpack.svp import lll_reduce, shortest_vector, verify_min_norm
+
+import svp_reference
 
 
 def random_unimodular(n, rng, steps=12):
@@ -24,15 +25,20 @@ def scramble(basis: IntMatrix, rng) -> IntMatrix:
 
 
 def brute_force_min(basis: IntMatrix) -> int:
-    """Naive box search over the LLL-reduced basis (independent of the DFS path).
+    """Exhaustive box search over the reference-LLL-reduced basis.
 
-    Box sizes come from the GSO norms (coefficients of a vector no longer
-    than the shortest reduced row are small in the reduced frame), padded by
-    one and capped so the product stays enumerable.
+    Independent of latpack's LLL and of the DFS path: the boxes come from the
+    reference LLL's GSO norms (coefficients of a vector no longer than the
+    shortest reduced row are small in the reduced frame), padded by one and
+    capped so the product stays enumerable.  Every coefficient vector in the
+    boxes is visited; x G x^T is summed level by level, fixing x_k adding
+    x_k^2 G_kk + 2 x_k y_k with the prefix sums y = sum_{j<k} x_j G_j.
     """
-    red = lll_reduce(basis)
+    red = svp_reference.lll_reduce(basis)
     rows = red.basis.m
-    bound = min(sum(x * x for x in row) for row in rows)
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
+    r = len(rows)
+    bound = min(gram[i][i] for i in range(r))
     boxes = []
     for b in red.gso_norms:
         c = 1
@@ -40,16 +46,18 @@ def brute_force_min(basis: IntMatrix) -> int:
             c += 1
         boxes.append(min(c + 1, 4))
     best = None
-    for coeffs in itertools.product(*[range(-c, c + 1) for c in boxes]):
-        if not any(coeffs):
-            continue
-        vec = [0] * red.basis.cols
-        for c, row in zip(coeffs, rows):
-            if c:
-                vec = [a + c * b for a, b in zip(vec, row)]
-        norm = sum(x * x for x in vec)
-        if best is None or norm < best:
-            best = norm
+
+    def search(k, partial, prefix, nonzero):
+        nonlocal best
+        g, y, c = gram[k], prefix[k], boxes[k]
+        for x in range(-c, c + 1):
+            norm = partial + x * x * g[k] + 2 * x * y
+            if k + 1 < r:
+                search(k + 1, norm, [p + x * gi for p, gi in zip(prefix, g)], nonzero or x != 0)
+            elif (nonzero or x != 0) and (best is None or norm < best):
+                best = norm
+
+    search(0, 0, [0] * r, False)
     return best
 
 
@@ -151,3 +159,86 @@ def test_verify_min_norm():
     cert = verify_min_norm(IntMatrix.identity(3), 2)
     assert not cert.holds
     assert sorted(abs(x) for x in cert.witness) == [0, 0, 1]
+
+
+def test_certificate_node_count():
+    basis = craig_basis(CraigParams(9, 4, 11)).basis
+    cert = verify_min_norm(basis, 8)
+    assert cert.holds and cert.nodes > 0
+    assert verify_min_norm(basis, 8) == cert
+    # a signed coordinate permutation is an isometry: same Gram matrix,
+    # so the same LLL steps and the same enumeration tree
+    rng = random.Random(12)
+    perm = list(range(basis.cols))
+    rng.shuffle(perm)
+    signs = [rng.choice((-1, 1)) for _ in perm]
+    moved = IntMatrix([[s * row[p] for p, s in zip(perm, signs)] for row in basis.m])
+    assert moved != basis
+    assert verify_min_norm(moved, 8) == cert
+
+
+# Differential tests against the rational reference implementation.
+
+
+def _result_or_rank_error(fn, *args):
+    try:
+        return fn(*args)
+    except RankError:
+        return RankError
+
+
+def assert_same_as_reference(rows, quality=Fraction(99, 100)) -> bool:
+    """Assert that latpack.svp and the reference agree on `rows`: the same
+    reduced basis and Gram-Schmidt data and, at the default quality, the
+    same minimum and witness; or RankError on both sides.  Returns whether
+    the rows were independent."""
+    want = _result_or_rank_error(svp_reference.lll_reduce, rows, quality)
+    got = _result_or_rank_error(lll_reduce, rows, quality)
+    if want is RankError:
+        assert got is RankError
+        with pytest.raises(RankError):
+            shortest_vector(rows)
+        return False
+    assert got.basis == want.basis
+    assert got.mu == want.mu
+    assert got.gso_norms == want.gso_norms
+    if quality == Fraction(99, 100):
+        # The reference LLL returns a reduced basis unchanged, so enumerating
+        # from want.basis is the reference's enumeration of `rows` without
+        # paying for its LLL on `rows` twice.
+        assert svp_reference.lll_reduce(want.basis).basis == want.basis
+        assert shortest_vector(rows) == svp_reference.shortest_vector(want.basis)
+    return True
+
+
+def test_differential_criterion_2_lattices():
+    checked = 0
+    for n in range(3, 15):
+        first = next_prime(n + 1)
+        for l in (first, next_prime(first + 1)):
+            for m in range(1, (n - 1) // 2 + 1):
+                assert assert_same_as_reference(craig_basis(CraigParams(n, m, l)).basis)
+                checked += 1
+    assert checked == 84
+
+
+def test_differential_scrambles():
+    rng = random.Random(17)
+    for p in [CraigParams(5, 2, 7), CraigParams(6, 2, 7), CraigParams(7, 3, 11),
+              CraigParams(8, 3, 11)]:
+        basis = craig_basis(p).basis
+        for _ in range(20):
+            assert assert_same_as_reference(scramble(basis, rng).m)
+
+
+def test_differential_random_matrices():
+    rng = random.Random(7)
+    independent = 0
+    for _ in range(300):
+        r = rng.randint(2, 6)
+        cols = rng.randint(r - 1, r + 1)
+        rows = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(r)]
+        for quality in (Fraction(99, 100), Fraction(3, 4)):
+            independent += assert_same_as_reference(rows, quality)
+    # both outcomes are exercised
+    assert 0 < independent < 600
