@@ -3,7 +3,8 @@
 Non-interactive, report-emitting.  Exit codes: 0 success, 2 validation
 error, 3 capacity error.  All numeric output uses the configured decimal
 precision (flag --precision, environment variable LATPACK_PRECISION,
-default 4).
+default 4).  Outside input (files, rational flags, the environment) is
+converted where it is read, so any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import CapacityError, LatpackError, ParameterError
+from .errors import CapacityError, LatpackError, ParameterError, ParseError
 from .exactnum import next_prime
 from . import craig, codes, lift, records, svp
 
@@ -25,7 +26,19 @@ def _precision(args) -> int:
     if args.precision is not None:
         return args.precision
     env = os.environ.get("LATPACK_PRECISION")
-    return int(env) if env else 4
+    if not env:
+        return 4
+    try:
+        return int(env)
+    except ValueError:
+        raise ParseError(f"LATPACK_PRECISION must be an integer, got {env!r}") from None
+
+
+def _rational(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{flag} must be a rational number, got {text!r}") from None
 
 
 def _params(args) -> craig.CraigParams:
@@ -72,7 +85,7 @@ def cmd_density(args, out):
 
 def cmd_lift(args, out):
     p = _params(args)
-    with open(args.code) as fh:
+    with open(args.code, errors="replace") as fh:
         code = codes.read_generator(fh)
     if code.n == p.n:
         result = lift.lift_with_length_n_code(p, code)
@@ -98,7 +111,7 @@ def cmd_gv(args, out):
 
 
 def cmd_verify(args, out):
-    with open(args.basis) as fh:
+    with open(args.basis, errors="replace") as fh:
         lattice = craig.read_basis(fh)
     cert = svp.verify_min_norm(lattice, args.bound)
     if cert.holds:
@@ -109,7 +122,11 @@ def cmd_verify(args, out):
 
 
 def cmd_table(args, out):
-    tol = Fraction(args.tolerance) if args.tolerance else records.AGREE_TOLERANCE
+    tol = records.AGREE_TOLERANCE
+    if args.tolerance is not None:
+        tol = _rational(args.tolerance, "--tolerance")
+        if tol < 0:
+            raise ParseError(f"--tolerance must be >= 0, got {args.tolerance}")
     report = records.emit_table(args.id, tolerance=tol)
     out.write(records.render_report(report, args.format))
 
@@ -152,7 +169,7 @@ def cmd_conditional(args, out):
 
 
 def cmd_compare(args, out):
-    verdict = records.compare(args.dim, args.value)
+    verdict = records.compare(args.dim, _rational(args.value, "--value"))
     out.write(f"best record at {args.dim}: {verdict.against.log2_delta} "
               f"({verdict.against.name})\n")
     out.write(f"candidate {args.value}: {verdict.relation} by {verdict.margin}\n")
@@ -211,7 +228,7 @@ def run(argv=None, out=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except (ParameterError, LatpackError, OSError, ValueError) as exc:
+    except (LatpackError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

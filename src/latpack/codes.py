@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib.resources import files
 
 from .errors import CapacityError, ParameterError, ParseError
-from .exactnum import _log2_fixed, binom_sum
+from .exactnum import _log2_fixed, binom_sum, read_int_rows, write_int_rows
 
 __all__ = [
     "CodeSpec",
@@ -28,6 +28,7 @@ __all__ = [
     "min_distance",
     "gv_exists",
     "gv_max_k",
+    "griesmer_length",
     "lemma62_params",
     "load_code_table",
     "dual_hamming_7_3_4",
@@ -315,6 +316,19 @@ def gv_max_k(n: int, d: int) -> int:
     return min(max(k, 0), n)
 
 
+def griesmer_length(q: int, k: int, d: int) -> int:
+    """Griesmer (1960) bound: every [n, k, d]_q code has n >= sum_{i<k} ceil(d/q^i).
+
+    The terms are 1 once q^i >= d, so the sum takes O(log d) steps.
+    """
+    total, i, qi = 0, 0, 1
+    while i < k and qi < d:
+        total += -(-d // qi)
+        i += 1
+        qi *= q
+    return total + (k - i)
+
+
 _RATE_BITS = 160
 _RATE_SCALED = 6 * _log2_fixed(3, 1, _RATE_BITS) - (8 << _RATE_BITS)  # 6*log2(3) - 8
 
@@ -431,27 +445,11 @@ def single_parity_3_2_2() -> LinearCode:
 
 def write_generator(code: LinearCode, fh) -> None:
     """Text format: first line "q n k", then k rows of n symbols."""
-    fh.write(f"{code.q} {code.n} {code.k}\n")
-    for row in code.generator:
-        fh.write(" ".join(str(x) for x in row) + "\n")
+    write_int_rows(fh, [code.q, code.n, code.k], code.generator)
 
 
-def read_generator(fh, d: int | None = None, status: str = CONSTRUCTED) -> LinearCode:
-    header = fh.readline().split()
-    if len(header) != 3:
-        raise ParseError("generator file must start with 'q n k'")
-    q, n, k = (int(x) for x in header)
-    rows = []
-    for i in range(k):
-        parts = fh.readline().split()
-        if len(parts) != n:
-            raise ParseError(f"generator row {i + 1} must have {n} entries")
-        rows.append([int(x) for x in parts])
-    if d is None:
-        probe = LinearCode(CodeSpec(q, n, k, 1, TABLE_KNOWN), rows)
-        if q**k <= ENUMERATION_CAP:
-            d = min_distance(probe)
-            status = CONSTRUCTED
-        else:
-            raise CapacityError("distance not given and code too large to enumerate")
-    return LinearCode(CodeSpec(q, n, k, d, status), rows)
+def read_generator(fh) -> LinearCode:
+    """Read the write_generator format; the minimum distance is enumerated."""
+    (q, n, k), rows = read_int_rows(fh, "generator", "q n k")
+    d = min_distance(LinearCode(CodeSpec(q, n, k, 1, TABLE_KNOWN), rows))
+    return LinearCode(CodeSpec(q, n, k, d, CONSTRUCTED), rows)

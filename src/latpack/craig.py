@@ -20,7 +20,9 @@ from .exactnum import (
     is_prime,
     log2_of,
     next_prime,
+    read_int_rows,
     solve_left,
+    write_int_rows,
 )
 
 __all__ = [
@@ -78,13 +80,11 @@ class CraigParams:
 class IntegerLattice:
     """Exact integer lattice: rank r basis rows in ambient dimension N."""
 
-    def __init__(self, ambient_dim: int, rank: int, basis: IntMatrix):
-        if basis.rows != rank or basis.cols != ambient_dim:
-            raise ParameterError("basis shape does not match declared rank/ambient")
-        if rank > ambient_dim:
+    def __init__(self, basis: IntMatrix):
+        if basis.rows > basis.cols:
             raise ParameterError("rank exceeds ambient dimension")
-        self.ambient_dim = ambient_dim
-        self.rank = rank
+        self.ambient_dim = basis.cols
+        self.rank = basis.rows
         self.basis = basis
         self._vol_sq: int | None = None
 
@@ -114,8 +114,8 @@ class LogDensity:
     def log2(self, digits: int = 4) -> str:
         return log2_of(self.delta_sq, digits)
 
-    def log2_fraction(self, frac_bits: int = 192):
-        return self.delta_sq.log2_fraction(frac_bits)
+    def log2_fraction(self):
+        return self.delta_sq.log2_fraction()
 
     def __repr__(self) -> str:
         return f"LogDensity(2^{self.log2(4)}, {self.provenance})"
@@ -151,7 +151,7 @@ def craig_basis(p: CraigParams) -> IntegerLattice:
         rows = [_binomial_row(j, width) for j in range(n, m - 1, -1)]
         for j in range(m - 1, 0, -1):
             rows.append([l * a for a in _binomial_row(j, width)])
-    return IntegerLattice(width, n, IntMatrix(rows))
+    return IntegerLattice(IntMatrix(rows))
 
 
 def _derivative_at_one(coeffs, order: int) -> int:
@@ -222,7 +222,7 @@ def density_floor(n: int) -> LogDensity:
     return LogDensity(BigRationalSqrt(num, den), "formula-only")
 
 
-def verify_section(p: CraigParams, rank_cap: int = SECTION_RANK_CAP) -> bool:
+def verify_section(p: CraigParams) -> bool:
     """Check that A(n, m, l) is the section of A(l-1, m, l) on the first n+1 coords.
 
     Every basis vector, zero-padded to length l, must solve integrally in the
@@ -232,8 +232,8 @@ def verify_section(p: CraigParams, rank_cap: int = SECTION_RANK_CAP) -> bool:
         raise ParameterError("verify_section requires a prime l")
     if p.l - 1 < p.n:
         raise ParameterError("need l-1 >= n")
-    if p.l - 1 > rank_cap:
-        raise CapacityError(f"section check capped at rank {rank_cap}, got {p.l - 1}")
+    if p.l - 1 > SECTION_RANK_CAP:
+        raise CapacityError(f"section check capped at rank {SECTION_RANK_CAP}, got {p.l - 1}")
     small = craig_basis(p)
     big_params = CraigParams(p.l - 1, p.m, p.l)
     big = craig_basis(big_params)
@@ -249,20 +249,9 @@ def verify_section(p: CraigParams, rank_cap: int = SECTION_RANK_CAP) -> bool:
 
 def write_basis(lattice: IntegerLattice, fh) -> None:
     """Text format: first line "N r", then r rows of N integers."""
-    fh.write(f"{lattice.ambient_dim} {lattice.rank}\n")
-    for row in lattice.basis.m:
-        fh.write(" ".join(str(x) for x in row) + "\n")
+    write_int_rows(fh, [lattice.ambient_dim, lattice.rank], lattice.basis.m)
 
 
 def read_basis(fh) -> IntegerLattice:
-    header = fh.readline().split()
-    if len(header) != 2:
-        raise ParameterError("basis file must start with 'N r'")
-    ambient, rank = int(header[0]), int(header[1])
-    rows = []
-    for i in range(rank):
-        parts = fh.readline().split()
-        if len(parts) != ambient:
-            raise ParameterError(f"basis row {i + 1} must have {ambient} entries")
-        rows.append([int(x) for x in parts])
-    return IntegerLattice(ambient, rank, IntMatrix(rows))
+    _, rows = read_int_rows(fh, "basis", "N r")
+    return IntegerLattice(IntMatrix(rows))

@@ -18,4 +18,5 @@ class CapacityError(LatpackError, RuntimeError):
 
 
 class ParseError(ParameterError):
-    """A data file could not be parsed; message names the offending line."""
+    """Outside input (a file, a flag or an environment variable) could not be
+    parsed; for a file, the message names the offending line."""

@@ -2,9 +2,10 @@
 
 Arbitrary-precision binomial sums, deterministic primality, integer-matrix
 Hermite normal form, fraction-free Gram determinants, and base-2 logarithms
-of rationals rendered to a requested number of decimal digits.  Everything
-here is pure integer/rational arithmetic; no floating point enters any
-certified path.
+of rationals rendered to a requested number of decimal digits, plus the
+integer-row text format of basis and generator files.  Everything here is
+pure integer/rational arithmetic; no floating point enters any certified
+path.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ParameterError, RankError
+from .errors import ParameterError, ParseError, RankError
 
 __all__ = [
     "IntMatrix",
@@ -28,7 +29,11 @@ __all__ = [
     "log2_of",
     "div_round_half_even",
     "format_scaled",
+    "read_int_rows",
+    "write_int_rows",
 ]
+
+LOG2_FRACTION_BITS = 192  # fractional bits of BigRationalSqrt.log2_fraction
 
 
 class IntMatrix:
@@ -74,6 +79,43 @@ class IntMatrix:
         return IntMatrix(
             [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.m]
         )
+
+
+def _int_tokens(tokens, what: str, line: int) -> list[int]:
+    out = []
+    for t in tokens:
+        try:
+            out.append(int(t))
+        except ValueError:
+            raise ParseError(f"{what} file line {line}: {t!r} is not an integer") from None
+    return out
+
+
+def read_int_rows(fh, what: str, header: str) -> tuple[list[int], list[list[int]]]:
+    """Read a header line of integers named by ``header``, then its rows of integers.
+
+    The last two header fields are the row width and the row count.  A short
+    file, a wrong field count or a non-integer token raises ParseError.
+    """
+    fields = fh.readline().split()
+    if len(fields) != len(header.split()):
+        raise ParseError(f"{what} file must start with '{header}'")
+    head = _int_tokens(fields, what, 1)
+    width, count = head[-2:]
+    rows = []
+    for i in range(count):
+        line = fh.readline()
+        parts = line.split()
+        if not line or len(parts) != width:
+            raise ParseError(f"{what} row {i + 1} must have {width} entries")
+        rows.append(_int_tokens(parts, what, i + 2))
+    return head, rows
+
+
+def write_int_rows(fh, header, rows) -> None:
+    """The format read_int_rows reads: the header line, then one line per row."""
+    for row in [header, *rows]:
+        fh.write(" ".join(str(x) for x in row) + "\n")
 
 
 def binom_sum(n: int, r: int) -> int:
@@ -342,10 +384,10 @@ class BigRationalSqrt:
     def __repr__(self) -> str:
         return f"BigRationalSqrt({self.num}/{self.den})"
 
-    def log2_fraction(self, frac_bits: int = 192) -> Fraction:
+    def log2_fraction(self) -> Fraction:
         """(1/2)*log2(num/den) as an exact dyadic approximation."""
-        t = _log2_fixed(self.num, self.den, frac_bits)
-        return Fraction(t, 1 << (frac_bits + 1))
+        t = _log2_fixed(self.num, self.den, LOG2_FRACTION_BITS)
+        return Fraction(t, 1 << (LOG2_FRACTION_BITS + 1))
 
 
 # The squaring loop in _log2_fixed is quadratic in the digit count: 1000

@@ -12,7 +12,7 @@ dimension sweeps) instantiates that formula with different code sources.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ParameterError
 from .exactnum import BigRationalSqrt, IntMatrix, hnf_basis, is_prime, next_prime
@@ -28,12 +28,12 @@ from .craig import (
 from . import codes
 from .codes import (
     CodeSpec,
-    CodeTable,
     LinearCode,
     concatenate,
     dual_hamming_7_3_4,
     extend_parity,
     gf_solve,
+    griesmer_length,
     gv_exists,
     gv_max_k,
     repetition,
@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 AMBIENT_CAP = 512
+SWEEP_WINDOW = 3
 
 
 @dataclass
@@ -70,7 +71,7 @@ class LiftResult:
 class ConditionalVerdict:
     required: CodeSpec
     achieved_density: LogDensity
-    status: str  # realized | open | refuted-by-table
+    status: str  # realized | open | refuted-by-table | refuted-by-bound
 
 
 def reduce_mod2(p: CraigParams, v) -> list[int]:
@@ -107,17 +108,15 @@ def _preimage_lattice(p: CraigParams, code_rows) -> IntegerLattice:
     h = hnf_basis(stacked)
     if h.rows != p.n:
         raise ParameterError("preimage lattice has unexpected rank")
-    return IntegerLattice(p.n + 1, p.n, h)
+    return IntegerLattice(h)
 
 
-def lift_sublattice(
-    p: CraigParams, V: LinearCode, ambient_cap: int = AMBIENT_CAP
-) -> LiftResult:
+def lift_sublattice(p: CraigParams, V: LinearCode) -> LiftResult:
     """Lift an even-weight [n+1, k, >= 8m] subcode into A(n, m, l).
 
     The returned density is exact; the basis itself is constructed only when
-    the ambient dimension fits under ``ambient_cap`` (the density formula
-    does not need it).
+    the ambient dimension fits under AMBIENT_CAP (the density formula does
+    not need it).
     """
     if p.l % 2 == 0 or not is_prime(p.l):
         raise ParameterError("lifting requires an odd prime l")
@@ -134,14 +133,12 @@ def lift_sublattice(
         )
     density = center_density_lb(p, V.k, provenance="lifted")
     lattice = None
-    if p.n + 1 <= ambient_cap:
+    if p.n + 1 <= AMBIENT_CAP:
         lattice = _preimage_lattice(p, V.generator)
     return LiftResult(p, V.spec, density, 8 * p.m, lattice)
 
 
-def lift_with_length_n_code(
-    p: CraigParams, c: LinearCode, ambient_cap: int = AMBIENT_CAP
-) -> LiftResult:
+def lift_with_length_n_code(p: CraigParams, c: LinearCode) -> LiftResult:
     """Parity-extend a binary [n, k, >= 8m] code, then lift the extension."""
     if c.q != 2:
         raise ParameterError("code must be binary")
@@ -149,10 +146,8 @@ def lift_with_length_n_code(
         raise ParameterError(f"code length must be n = {p.n}")
     if c.spec.d < 8 * p.m:
         raise ParameterError(f"distance {c.spec.d} is below the required 8m = {8 * p.m}")
-    ext = extend_parity(c)
-    result = lift_sublattice(p, ext, ambient_cap)
-    # Density depends only on k, which parity extension preserves.
-    return LiftResult(p, c.spec, center_density_lb(p, c.k, "lifted"), 8 * p.m, result.lattice)
+    # Parity extension preserves k, so the lift's density is this code's.
+    return replace(lift_sublattice(p, extend_parity(c)), code=c.spec)
 
 
 def improve_craig_8x(p: int) -> LiftResult:
@@ -178,23 +173,20 @@ def improve_craig_8x(p: int) -> LiftResult:
     return lift_with_length_n_code(params, code)
 
 
-def conditional_eval(
-    p: CraigParams,
-    required: CodeSpec,
-    table: CodeTable | None = None,
-) -> ConditionalVerdict:
+def conditional_eval(p: CraigParams, required: CodeSpec) -> ConditionalVerdict:
     """Density a hypothetical code would achieve, with a table-backed verdict.
 
     realized: a known code (or the exact GV bound) supplies the parameters;
-    open: consistent with the table's upper bound but not known to exist;
-    refuted-by-table: the required distance exceeds the table's upper bound.
+    open: consistent with the table's upper bound and the Griesmer bound but
+    not known to exist;
+    refuted-by-table: the required distance exceeds the table's upper bound;
+    refuted-by-bound: the required length is below the Griesmer bound.
     """
     if required.n not in (p.n, p.n + 1):
         raise ParameterError("required code length must be n or n+1")
     if required.d < 8 * p.m:
         raise ParameterError(f"required distance {required.d} below 8m = {8 * p.m}")
-    if table is None:
-        table = codes.builtin_code_table()
+    table = codes.builtin_code_table()
     achieved = center_density_lb(p, required.k, provenance="formula-only")
     known = table.best_known(required.q, required.n, required.k)
     upper = table.upper_bound(required.q, required.n, required.k)
@@ -204,6 +196,8 @@ def conditional_eval(
         status = "realized"
     elif upper is not None and upper < required.d:
         status = "refuted-by-table"
+    elif required.n < griesmer_length(required.q, required.k, required.d):
+        status = "refuted-by-bound"
     else:
         status = "open"
     return ConditionalVerdict(required, achieved, status)
@@ -264,31 +258,28 @@ def pipeline_24n(N: int) -> LiftResult:
     return LiftResult(params, CodeSpec(2, N, k, d, codes.GV_EXISTS), density, 8 * m)
 
 
-def _candidate_ms(n: int, window: int) -> list[int]:
+def _candidate_ms(n: int) -> list[int]:
     """Sweep window: around n/(2 ln n), around n/32, plus m = 1."""
     hi = max(1, -(-n // 2) - 1)
     centers = {choose_params(n).m, max(1, round(n / 32))}
     cands = {1}
     for c in centers:
-        for m in range(max(1, c - window), min(hi, c + window) + 1):
+        for m in range(max(1, c - SWEEP_WINDOW), min(hi, c + SWEEP_WINDOW) + 1):
             cands.add(m)
     return sorted(cands)
 
 
-def sweep_dimension(
-    n: int, table: CodeTable | None = None, window: int = 3
-) -> LiftResult:
+def sweep_dimension(n: int) -> LiftResult:
     """Best density over a bounded window of m, with k from GV and the code table.
 
     Deterministic tie-break: higher density, then smaller m, then smaller l.
     """
     if n < 8:
         raise ParameterError("sweep requires n >= 8")
-    if table is None:
-        table = codes.builtin_code_table()
+    table = codes.builtin_code_table()
     l = next_prime(n + 1)
     best: LiftResult | None = None
-    for m in _candidate_ms(n, window):
+    for m in _candidate_ms(n):
         need = 8 * m
         k = 0
         if need <= n:

@@ -17,7 +17,7 @@ from .errors import ParameterError, ParseError
 from .exactnum import div_round_half_even, format_scaled
 from .craig import CraigParams, LogDensity, center_density_lb
 from . import codes as codes_mod
-from .codes import CodeSpec, CodeTable, read_csv_rows
+from .codes import CodeSpec, read_csv_rows
 from . import lift as lift_mod
 
 __all__ = [
@@ -178,7 +178,7 @@ def table_rows(table_id: int) -> list[_RawRow]:
     return rows
 
 
-def _compute_row(raw: _RawRow, code_table: CodeTable):
+def _compute_row(raw: _RawRow):
     """Exact log2-density Fraction for one table row, plus a note string."""
     if raw.kind == "lift":
         params = CraigParams(raw.dim, raw.m, raw.l)
@@ -187,7 +187,7 @@ def _compute_row(raw: _RawRow, code_table: CodeTable):
     if raw.kind == "conditional":
         params = CraigParams(raw.dim, raw.m, raw.l)
         required = CodeSpec(2, raw.dim, raw.k, 8 * raw.m, codes_mod.HYPOTHETICAL)
-        verdict = lift_mod.conditional_eval(params, required, code_table)
+        verdict = lift_mod.conditional_eval(params, required)
         return (
             verdict.achieved_density.log2_fraction(),
             f"(m={raw.m}, l={raw.l}, k={raw.k}) requires {required} [{verdict.status}]",
@@ -219,7 +219,7 @@ def _compute_row(raw: _RawRow, code_table: CodeTable):
             f"(m={result.params.m}, l={result.params.l}, k={result.code.k})"
         )
     if raw.kind == "sweep":
-        result = lift_mod.sweep_dimension(raw.dim, code_table)
+        result = lift_mod.sweep_dimension(raw.dim)
         k = result.code.k if result.code else 0
         return result.density.log2_fraction(), (
             f"sweep chose (m={result.params.m}, l={result.params.l}, k={k})"
@@ -227,17 +227,11 @@ def _compute_row(raw: _RawRow, code_table: CodeTable):
     raise ParameterError(f"unknown table row kind {raw.kind!r}")
 
 
-def emit_table(
-    table_id: int,
-    tolerance: Fraction = AGREE_TOLERANCE,
-    code_table: CodeTable | None = None,
-) -> TableReport:
+def emit_table(table_id: int, tolerance: Fraction = AGREE_TOLERANCE) -> TableReport:
     """Recompute every row of a published table and report computed vs stated."""
-    if code_table is None:
-        code_table = codes_mod.builtin_code_table()
     report = TableReport(table_id)
     for raw in table_rows(table_id):
-        val, note = _compute_row(raw, code_table)
+        val, note = _compute_row(raw)
         variants = [raw.stated] + ([raw.alt] if raw.alt else [])
         diffs = [abs(val - Fraction(v)) for v in variants]
         diff = min(diffs)

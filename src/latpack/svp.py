@@ -133,7 +133,7 @@ def lll_reduce(lattice, quality: Fraction = Fraction(99, 100)) -> ReducedBasis:
     return ReducedBasis(IntMatrix(basis), d, lam)
 
 
-def shortest_vector(lattice, rank_cap: int = RANK_CAP, stats: dict | None = None):
+def shortest_vector(lattice, stats: dict | None = None):
     """Exact minimum squared norm over nonzero vectors, with a witness vector.
 
     Deterministic Fincke-Pohst depth-first search on an LLL-reduced basis.
@@ -145,8 +145,8 @@ def shortest_vector(lattice, rank_cap: int = RANK_CAP, stats: dict | None = None
     enumeration nodes visited.
     """
     rows = _basis_rows(lattice)
-    if len(rows) > rank_cap:
-        raise CapacityError(f"rank {len(rows)} exceeds enumeration cap {rank_cap}")
+    if len(rows) > RANK_CAP:
+        raise CapacityError(f"rank {len(rows)} exceeds enumeration cap {RANK_CAP}")
     red = lll_reduce(rows)
     rows, d, lam = red.basis.m, red.d, red.lam
     r = len(rows)
@@ -213,10 +213,10 @@ def shortest_vector(lattice, rank_cap: int = RANK_CAP, stats: dict | None = None
     return best // scale_all, witness
 
 
-def verify_min_norm(lattice, bound: int, rank_cap: int = RANK_CAP) -> Certificate:
+def verify_min_norm(lattice, bound: int) -> Certificate:
     """Certificate that every nonzero vector has squared norm >= bound."""
     stats = {"nodes": 0}
-    norm, witness = shortest_vector(lattice, rank_cap, stats)
+    norm, witness = shortest_vector(lattice, stats)
     if norm >= bound:
         return Certificate(True, bound, norm, None, stats["nodes"])
     return Certificate(False, bound, norm, witness, stats["nodes"])

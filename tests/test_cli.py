@@ -1,6 +1,9 @@
 import io
 import time
 
+import pytest
+
+from latpack import lift
 from latpack.cli import run
 from latpack.craig import read_basis
 from latpack.exactnum import gram_det
@@ -55,7 +58,7 @@ def test_lift_subcommand(tmp_path):
     assert "k=1" in out and "constructed basis rank 12" in out
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path, monkeypatch):
     assert run(["nosuchcommand"], io.StringIO()) == 2
     assert run(["density", "--n", "4", "--m", "9", "--l", "5"], io.StringIO()) == 2
     assert run(["construct", "--n", "600"], io.StringIO()) == 3
@@ -71,6 +74,22 @@ def test_exit_codes():
     assert run(["--precision", "100000", "density", "--n", "52"], io.StringIO()) == 2
     assert run(["--precision", "1000", "density", "--n", "52"], io.StringIO()) == 0
     assert time.perf_counter() - start < 10
+    # Outside input is converted where it is read.
+    assert run(["table", "--id", "1", "--tolerance", "1/0"], io.StringIO()) == 2
+    assert run(["table", "--id", "1", "--tolerance", "-1"], io.StringIO()) == 2
+    assert run(["compare", "--dim", "4096", "--value", "1/0"], io.StringIO()) == 2
+    assert run(["compare", "--dim", "4096", "--value", "x"], io.StringIO()) == 2
+    basis = tmp_path / "basis.txt"
+    basis.write_text("3 2\n1 -1 0\n0 one -1\n")
+    assert run(["verify", "--basis", str(basis), "--bound", "2"], io.StringIO()) == 2
+    basis.write_bytes(bytes(range(128, 256)))
+    assert run(["verify", "--basis", str(basis), "--bound", "2"], io.StringIO()) == 2
+    gen = tmp_path / "gen.txt"
+    gen.write_text("2 12 1\n" + " ".join(["1"] * 11) + " 1e0\n")
+    assert run(["lift", "--n", "12", "--m", "1", "--l", "13", "--code", str(gen)],
+               io.StringIO()) == 2
+    monkeypatch.setenv("LATPACK_PRECISION", "four")
+    assert run(["density", "--n", "52"], io.StringIO()) == 2
 
 
 def test_table_subcommand():
@@ -104,9 +123,25 @@ def test_conditional_subcommand():
     )
     assert code == 0
     assert "98.3941" in out and "open" in out
+    # Griesmer: a [20, 20, 8] code needs length 8 + 4 + 2 + 1 + 16 = 31.
+    code, out = invoke(
+        "conditional", "--n", "20", "--m", "1", "--l", "23",
+        "--req-n", "20", "--req-k", "20", "--req-d", "8",
+    )
+    assert code == 0
+    assert "status: refuted-by-bound" in out
 
 
 def test_precision_flag():
     code, out = invoke("--precision", "6", "density", "--n", "2", "--m", "1", "--l", "3")
     assert code == 0
     assert "-1.792481" in out
+
+
+def test_internal_value_error_propagates(monkeypatch):
+    def broken(n):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(lift, "sweep_dimension", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        run(["sweep", "--n", "100"], io.StringIO())

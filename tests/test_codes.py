@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 
@@ -14,6 +15,7 @@ from latpack.codes import (
     extended_hamming_8_4_4,
     gf_add,
     gf_mul,
+    griesmer_length,
     gv_exists,
     gv_max_k,
     lemma62_params,
@@ -191,3 +193,23 @@ def test_generator_file_round_trip(tmp_path):
         back = read_generator(fh)
     assert back.generator == code.generator
     assert back.spec == code.spec
+
+
+def test_generator_file_rejects_non_integers():
+    from latpack.codes import read_generator
+
+    with pytest.raises(ParseError, match="line 3: 'x' is not an integer"):
+        read_generator(io.StringIO("2 3 2\n1 0 1\n0 x 1\n"))
+    with pytest.raises(ParseError, match="line 1"):
+        read_generator(io.StringIO("2 3 two\n"))
+    with pytest.raises(ParseError, match="row 2 must have 3 entries"):
+        read_generator(io.StringIO("2 3 2\n1 0 1\n"))
+
+
+def test_griesmer_length():
+    # extended Hamming [8, 4, 4] and the Golay [24, 12, 8] meet the bound
+    assert griesmer_length(2, 4, 4) == 8
+    assert griesmer_length(2, 12, 8) == 8 + 4 + 2 + 1 + 8
+    assert griesmer_length(2, 20, 8) == 31
+    for q, k, d in itertools.product([2, 4, 8], range(1, 12), range(1, 70)):
+        assert griesmer_length(q, k, d) == sum(-(-d // q**i) for i in range(k))

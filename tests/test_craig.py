@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from latpack.errors import CapacityError, ParameterError
-from latpack.exactnum import next_prime, solve_left
+from latpack.errors import CapacityError, ParameterError, ParseError
+from latpack.exactnum import IntMatrix, next_prime, solve_left
 from latpack.craig import (
     CraigParams,
+    IntegerLattice,
     center_density_lb,
     choose_params,
     craig_basis,
@@ -159,4 +160,19 @@ def test_basis_file_round_trip():
     buf.seek(0)
     L2 = read_basis(buf)
     assert L2.basis == L.basis
+    assert (L2.rank, L2.ambient_dim) == (6, 7)  # read off the basis shape
+    assert IntegerLattice(IntMatrix([[1, -1, 0]])).ambient_dim == 3
     assert L2.vol_sq == L.vol_sq
+
+
+def test_basis_file_rejects_bad_input():
+    with pytest.raises(ParseError, match="line 2: '1.5' is not an integer"):
+        read_basis(io.StringIO("3 2\n1.5 -1 0\n0 1 -1\n"))
+    with pytest.raises(ParseError, match="must start with 'N r'"):
+        read_basis(io.StringIO("3\n"))
+    # a header promising more rows than the file holds fails at its end,
+    # even when its rows are empty (else "0 10^12" would read 10^12 of them)
+    with pytest.raises(ParseError, match="row 2 must have 0 entries"):
+        read_basis(io.StringIO("0 3\n\n"))
+    with pytest.raises(ParameterError, match="rank exceeds"):
+        read_basis(io.StringIO("1 2\n1\n2\n"))

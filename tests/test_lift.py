@@ -9,7 +9,6 @@ from latpack.codes import (
     CONSTRUCTED,
     CodeSpec,
     LinearCode,
-    builtin_code_table,
     extend_parity,
     gv_max_k,
     repetition,
@@ -115,11 +114,22 @@ def test_lift_index_identity_m2():
     assert r.min_norm_guarantee == 16
 
 
-def test_lift_with_length_n_code_density():
+def test_lift_with_length_n_code_density(monkeypatch):
+    import latpack.lift as lift
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return center_density_lb(*args, **kwargs)
+
+    monkeypatch.setattr(lift, "center_density_lb", counting)
     p = CraigParams(52, 6, 53)
     r = lift_with_length_n_code(p, repetition(52, 2))
     assert r.density.log2(3) == "10.705"
     assert r.lattice is not None  # 53 <= ambient cap
+    assert r.code == repetition(52, 2).spec  # the length-n code, not its extension
+    assert len(calls) == 1  # the lift's density is reused, not recomputed
 
 
 def test_improve_craig_8x():
@@ -149,29 +159,37 @@ def test_improve_craig_8x_distance_margin():
 
 
 def test_conditional_eval():
-    table = builtin_code_table()
     p = CraigParams(128, 4, 131)
-    v = conditional_eval(p, CodeSpec(2, 128, 59, 32, "hypothetical"), table)
+    v = conditional_eval(p, CodeSpec(2, 128, 59, 32, "hypothetical"))
     assert v.achieved_density.log2(4) == "98.3941"  # frozen oracle value
     assert v.status == "open"
 
     p = CraigParams(256, 12, 257)
-    v = conditional_eval(p, CodeSpec(2, 256, 56, 96, "hypothetical"), table)
+    v = conditional_eval(p, CodeSpec(2, 256, 56, 96, "hypothetical"))
     assert v.achieved_density.log2(4) == "294.8105"
     assert v.status == "open"
 
     # a known code realizes the requirement
     p = CraigParams(68, 4, 71)
-    v = conditional_eval(p, CodeSpec(2, 68, 8, 32, "hypothetical"), table)
+    v = conditional_eval(p, CodeSpec(2, 68, 8, 32, "hypothetical"))
     assert v.status == "realized"
 
-    # beyond the recorded upper bound
+    # beyond the recorded upper bound (Griesmer refutes it too; the table's
+    # verdict comes first)
     p = CraigParams(256, 12, 257)
-    v = conditional_eval(p, CodeSpec(2, 256, 99, 96, "hypothetical"), table)
+    v = conditional_eval(p, CodeSpec(2, 256, 99, 96, "hypothetical"))
     assert v.status == "refuted-by-table"
 
     with pytest.raises(ParameterError):
-        conditional_eval(CraigParams(128, 4, 131), CodeSpec(2, 128, 59, 31, "hypothetical"), table)
+        conditional_eval(CraigParams(128, 4, 131), CodeSpec(2, 128, 59, 31, "hypothetical"))
+
+    # Griesmer: a [20, 20, 8] code needs n >= 8 + 4 + 2 + 1 + 16 = 31.
+    p = CraigParams(20, 1, 23)
+    v = conditional_eval(p, CodeSpec(2, 20, 20, 8, "hypothetical"))
+    assert v.status == "refuted-by-bound"
+    # [20, 9, 8] meets the bound (8 + 4 + 2 + 1 + 5 = 20): left open.
+    v = conditional_eval(p, CodeSpec(2, 20, 9, 8, "hypothetical"))
+    assert v.status == "open"
 
 
 def test_mw_beater_search():

@@ -2,21 +2,34 @@
 
 One HNF elimination serves `hnf` and `hnf_basis`, one GF(q) elimination
 serves `gf_rank` and `gf_solve`, and one round-half-even path renders every
-margin; each property below checks one of them against an independent
-oracle (Gram determinants, brute-force spans, the polynomial membership
-criterion, `decimal` formatting).
+margin and logarithm; each property below checks one of them against an
+independent oracle (Gram determinants, brute-force spans, the polynomial
+membership criterion, `decimal` formatting, a `binom_sum` scan).
 """
 
 import itertools
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
-from latpack.codes import gf_add, gf_mul, gf_rank, gf_solve
+from latpack import exactnum
+from latpack.codes import gf_add, gf_mul, gf_rank, gf_solve, gv_exists, gv_max_k
 from latpack.craig import CraigParams, craig_basis, membership
 from latpack.errors import RankError
-from latpack.exactnum import IntMatrix, bareiss_det, gram_det, hnf, hnf_basis, next_prime, solve_left
+from latpack.exactnum import (
+    BigRationalSqrt,
+    IntMatrix,
+    bareiss_det,
+    binom_sum,
+    gram_det,
+    hnf,
+    hnf_basis,
+    log2_of,
+    next_prime,
+    solve_left,
+)
 from latpack.records import RecordEntry, RecordTable, compare
 
 settings.register_profile("latpack", max_examples=150, deadline=None)
@@ -144,3 +157,44 @@ def test_compare_margin_matches_decimal_rounding(delta):
     scaled = round(delta * 10000)  # Fraction.__round__ rounds half to even
     assert v.margin == f"{Decimal(scaled).scaleb(-4):.4f}"
     assert v.relation == ("beats" if scaled > 0 else "below" if scaled < 0 else "ties")
+
+
+@given(st.data())
+def test_gv_max_k_is_the_largest_gv_k(data):
+    n = data.draw(st.integers(1, 80))
+    d = data.draw(st.integers(1, n))
+    ks = [k for k in range(1, n + 1) if gv_exists(n, k, d)]
+    assert gv_max_k(n, d) == (max(ks) if ks else 0)
+    # the oracle itself: V(n, d-1) < 2^(n-k+1)
+    assert ks == [k for k in range(1, n + 1) if binom_sum(n, d - 1) < 2 ** (n - k + 1)]
+
+
+positive = st.integers(1, 10**40)
+
+
+@given(positive, positive, positive, positive, st.booleans(), st.integers(1, 12))
+def test_log2_of_is_monotone(a, b, c, d, near, digits):
+    x = BigRationalSqrt(a, b)
+    # a neighbour within c parts in 10^50 of x, or an unrelated value
+    y = BigRationalSqrt(a * 10**50 + c, b * 10**50) if near else BigRationalSqrt(c, d)
+    if y < x:
+        x, y = y, x
+    assert Fraction(log2_of(x, digits)) <= Fraction(log2_of(y, digits))
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 8))
+def test_log2_of_rounds_ties_to_even(j, digits):
+    # Stub the fixed-point kernel so the value lies exactly halfway between
+    # two renderings: T / 2^(b+1) = (2j+1) / 2^(digits+1), an odd multiple
+    # of half a unit in the last decimal place.
+    def tie(num, den, frac_bits):
+        return (2 * j + 1) << (frac_bits - digits)
+
+    exact = Fraction(2 * j + 1, 2 ** (digits + 1))
+    with mock.patch.object(exactnum, "_log2_fixed", tie):
+        got = log2_of(BigRationalSqrt(3, 1), digits)
+    want = Decimal(exact.numerator) / Decimal(exact.denominator)
+    assert got == str(want.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_EVEN))
+    # the rendering is one of the two neighbours, and its last digit is even
+    assert abs(Fraction(got) - exact) == Fraction(1, 2 * 10**digits)
+    assert int(got[-1]) % 2 == 0
