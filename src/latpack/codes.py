@@ -109,28 +109,38 @@ def gf_rank(q: int, rows) -> int:
     return len(_gf_eliminate(q, work, len(work[0])))
 
 
-def gf_solve(q: int, rows, target):
-    """Coefficients x with sum x_i * rows[i] = target over GF(q), or None.
+def gf_solver(q: int, rows):
+    """Eliminate once; return a function target -> x with sum x_i * rows[i] = target, or None.
 
-    Eliminates [rows | I]; the identity columns of a pivot row give its
-    coefficients over the original rows.
+    Eliminates [rows | I] here; the identity columns of a pivot row give its
+    coefficients over the original rows.  Each call of the returned function
+    reduces its target along the pivot rows and does not modify them.
     """
     nrows = len(rows)
     ncols = len(rows[0])
     aug = [list(r) + [1 if i == j else 0 for j in range(nrows)] for i, r in enumerate(rows)]
-    pivcols = _gf_eliminate(q, aug, ncols)
-    x = [0] * nrows
-    residual = list(target)
-    for i, c in enumerate(pivcols):
-        f = residual[c]
-        if f:
-            for j in range(ncols):
-                residual[j] = gf_add(residual[j], gf_mul(q, f, aug[i][j]))
-            for j in range(nrows):
-                x[j] = gf_add(x[j], gf_mul(q, f, aug[i][ncols + j]))
-    if any(residual):
-        return None
-    return x
+    pivots = [(c, aug[i]) for i, c in enumerate(_gf_eliminate(q, aug, ncols))]
+
+    def solve(target):
+        x = [0] * nrows
+        residual = list(target)
+        for c, row in pivots:
+            f = residual[c]
+            if f:
+                for j in range(ncols):
+                    residual[j] = gf_add(residual[j], gf_mul(q, f, row[j]))
+                for j in range(nrows):
+                    x[j] = gf_add(x[j], gf_mul(q, f, row[ncols + j]))
+        if any(residual):
+            return None
+        return x
+
+    return solve
+
+
+def gf_solve(q: int, rows, target):
+    """Coefficients x with sum x_i * rows[i] = target over GF(q), or None."""
+    return gf_solver(q, rows)(target)
 
 
 @dataclass(frozen=True)

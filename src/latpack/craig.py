@@ -2,9 +2,12 @@
 
 A lattice A(n, m, l) lives in Z^(n+1) as the coefficient vectors of integer
 polynomials f with f(1) = 0 whose derivatives at 1 up to order m-1 vanish
-mod l.  Its basis is spanned by (x-1)^n .. (x-1)^m together with
-l*(x-1)^(m-1) .. l*(x-1); its squared volume is l^(2(m-1)) * (n+1), and for
-prime l every nonzero vector has squared norm at least 2m.
+mod l.  It is spanned by (x-1)^n .. (x-1)^m together with
+l*(x-1)^(m-1) .. l*(x-1), and, because x^j and (x-1)^j span the same
+Z-module, equally by the short rows (x-1)^m * x^j and l*(x-1) * x^j that
+craig_basis writes (Craig 1978; Conway & Sloane, SPLAG ch. 8 sec. 6).  Its
+squared volume is l^(2(m-1)) * (n+1), and for prime l every nonzero vector
+has squared norm at least 2m.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from .exactnum import (
     IntMatrix,
     gram_det,
     is_prime,
+    left_solver,
     log2_of,
     next_prime,
     read_int_rows,
-    solve_left,
     write_int_rows,
 )
 
@@ -39,7 +42,7 @@ __all__ = [
     "read_basis",
 ]
 
-SECTION_RANK_CAP = 64
+SECTION_RANK_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -121,36 +124,20 @@ class LogDensity:
         return f"LogDensity(2^{self.log2(4)}, {self.provenance})"
 
 
-def _binomial_row(j: int, width: int) -> list[int]:
-    """Coefficient vector of (x-1)^j, length ``width``."""
-    row = [0] * width
-    c = 1
-    for i in range(j + 1):
-        row[i] = c if (j - i) % 2 == 0 else -c
-        c = c * (j - i) // (i + 1)
-    return row
-
-
 def craig_basis(p: CraigParams) -> IntegerLattice:
     """Basis of A(n, m, l) in Z^(n+1).
 
-    For m >= 2 the rows are (x-1)^n, ..., (x-1)^m followed by the scaled rows
-    l*(x-1)^(m-1), ..., l*(x-1), in descending degree.  For m = 1 the lattice
-    does not depend on l and the integral base (x-1)*x^j, j = 0..n-1, is used.
+    The rows are (x-1)^m * x^j for j = 0..n-m, then l*(x-1) * x^j for
+    j = 0..m-2, as coefficient vectors in ascending degree.  The first n-m+1
+    rows span (x-1)^m times every polynomial of degree <= n-m, which is the
+    span of (x-1)^n .. (x-1)^m; the last m-1 span l*(x-1)^(m-1) .. l*(x-1).
+    Every entry is at most max(C(m, m // 2), l) in absolute value.  At m = 1
+    the second block is empty and the rows are the (x-1) * x^j of A_n.
     """
     n, m, l = p.n, p.m, p.l
-    width = n + 1
-    if m == 1:
-        rows = []
-        for j in range(n):
-            row = [0] * width
-            row[j] = -1
-            row[j + 1] = 1
-            rows.append(row)
-    else:
-        rows = [_binomial_row(j, width) for j in range(n, m - 1, -1)]
-        for j in range(m - 1, 0, -1):
-            rows.append([l * a for a in _binomial_row(j, width)])
+    top = [math.comb(m, i) * (-1) ** (m - i) for i in range(m + 1)]
+    rows = [[0] * j + top + [0] * (n - m - j) for j in range(n - m + 1)]
+    rows += [[0] * j + [-l, l] + [0] * (n - 1 - j) for j in range(m - 1)]
     return IntegerLattice(IntMatrix(rows))
 
 
@@ -226,7 +213,8 @@ def verify_section(p: CraigParams) -> bool:
     """Check that A(n, m, l) is the section of A(l-1, m, l) on the first n+1 coords.
 
     Every basis vector, zero-padded to length l, must solve integrally in the
-    big lattice, and the volume formulas must stand in the ratio l : n+1.
+    big lattice (one HNF of the big basis serves every row), and the volume
+    formulas must stand in the ratio l : n+1.
     """
     if not is_prime(p.l):
         raise ParameterError("verify_section requires a prime l")
@@ -237,10 +225,10 @@ def verify_section(p: CraigParams) -> bool:
     small = craig_basis(p)
     big_params = CraigParams(p.l - 1, p.m, p.l)
     big = craig_basis(big_params)
-    pad = p.l - 1 - p.n
+    solve = left_solver(big.basis)
+    pad = [0] * (p.l - 1 - p.n)
     for row in small.basis.m:
-        padded = row + [0] * pad
-        if solve_left(big.basis, padded) is None:
+        if solve(row + pad) is None:
             return False
     lhs = small.vol_sq * p.l
     rhs = big.vol_sq * (p.n + 1)

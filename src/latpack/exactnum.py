@@ -23,6 +23,7 @@ __all__ = [
     "next_prime",
     "hnf",
     "hnf_basis",
+    "left_solver",
     "solve_left",
     "gram_det",
     "bareiss_det",
@@ -132,9 +133,10 @@ def binom_sum(n: int, r: int) -> int:
     return total
 
 
-# Witnesses proving primality for every n < 3_317_044_064_679_887_385_961_981
-# (Sorenson & Webster).  All moduli used in this package are far smaller.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 prime bases prove primality for every n below
+# 3_317_044_064_679_887_385_961_981 (Sorenson & Webster 2017); the first 12
+# alone only below 318_665_857_834_031_151_167_461, itself a composite they pass.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 
@@ -254,27 +256,39 @@ def hnf_basis(M: IntMatrix) -> IntMatrix:
     return IntMatrix(mat[: len(pivots)])
 
 
+def left_solver(B: IntMatrix):
+    """Factor B once; return a function v -> integer x with x*B = v, or None.
+
+    The HNF (H, U) of B is computed here, so each call of the returned
+    function costs one back-substitution along H's pivots and one product
+    with U.  Neither is modified by a call.  Raises RankError when the rows
+    of B are dependent.
+    """
+    H, U = hnf(B)
+    pivots = [next(c for c, a in enumerate(row) if a) for row in H.m]
+
+    def solve(v) -> list[int] | None:
+        if len(v) != B.cols:
+            raise ParameterError("vector length does not match matrix columns")
+        residual = list(v)
+        x = [0] * U.cols
+        for hrow, urow, pc in zip(H.m, U.m, pivots):
+            q, r = divmod(residual[pc], hrow[pc])
+            if r != 0:
+                return None
+            if q:
+                residual = [a - q * b for a, b in zip(residual, hrow)]
+                x = [a + q * b for a, b in zip(x, urow)]
+        if any(residual):
+            return None
+        return x
+
+    return solve
+
+
 def solve_left(B: IntMatrix, v) -> list[int] | None:
     """Integer solution x of x*B = v, or None when v is outside the row lattice."""
-    if len(v) != B.cols:
-        raise ParameterError("vector length does not match matrix columns")
-    H, U = hnf(B)
-    pivots = []
-    for i in range(H.rows):
-        j = next((c for c in range(H.cols) if H[i][c] != 0), None)
-        pivots.append(j)
-    y = [0] * H.rows
-    residual = list(v)
-    for i, pc in enumerate(pivots):
-        q, r = divmod(residual[pc], H[i][pc])
-        if r != 0:
-            return None
-        y[i] = q
-        if q:
-            residual = [a - q * b for a, b in zip(residual, H[i])]
-    if any(residual):
-        return None
-    return [sum(y[i] * U[i][j] for i in range(H.rows)) for j in range(U.cols)]
+    return left_solver(B)(v)
 
 
 def bareiss_det(G) -> int:

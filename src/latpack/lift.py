@@ -32,7 +32,7 @@ from .codes import (
     concatenate,
     dual_hamming_7_3_4,
     extend_parity,
-    gf_solve,
+    gf_solver,
     griesmer_length,
     gv_exists,
     gv_max_k,
@@ -85,10 +85,10 @@ def reduce_mod2(p: CraigParams, v) -> list[int]:
 
 def _lift_generator_rows(basis_rows, code_rows):
     """For each codeword c find a lattice vector congruent to c mod 2."""
-    mod2 = [[x % 2 for x in row] for row in basis_rows]
+    solve = gf_solver(2, [[x % 2 for x in row] for row in basis_rows])
     lifted = []
     for c in code_rows:
-        x = gf_solve(2, mod2, [b % 2 for b in c])
+        x = solve([b % 2 for b in c])
         if x is None:
             raise ParameterError("codeword is outside the mod-2 image of the lattice")
         vec = [0] * len(c)

@@ -65,6 +65,9 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert run(["table", "--id", "11"], io.StringIO()) == 2
     # The 2m norm guarantee needs a prime l; 55 = 5 * 11.
     assert run(["density", "--n", "52", "--m", "6", "--l", "55"], io.StringIO()) == 2
+    # A strong pseudoprime to the twelve bases 2..37 (Sorenson & Webster 2017).
+    assert run(["density", "--n", "52", "--m", "6", "--l", "318665857834031151167461"],
+               io.StringIO()) == 2
     # k > n: no subcode of the [n+1, n, 2] even-weight code has dimension k.
     assert run(["density", "--n", "52", "--m", "6", "--l", "53", "--k", "999"],
                io.StringIO()) == 2

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import random
 
 import pytest
 
@@ -15,6 +16,8 @@ from latpack.codes import (
     extended_hamming_8_4_4,
     gf_add,
     gf_mul,
+    gf_solve,
+    gf_solver,
     griesmer_length,
     gv_exists,
     gv_max_k,
@@ -213,3 +216,35 @@ def test_griesmer_length():
     assert griesmer_length(2, 20, 8) == 31
     for q, k, d in itertools.product([2, 4, 8], range(1, 12), range(1, 70)):
         assert griesmer_length(q, k, d) == sum(-(-d // q**i) for i in range(k))
+
+
+def _gf_combine(q, coeffs, rows):
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [gf_add(a, gf_mul(q, c, b)) for a, b in zip(out, row)]
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_gf_solver_reused_matches_fresh_calls_and_brute_force(q):
+    # One solver answers every target of GF(q)^n, twice over, exactly as a
+    # fresh gf_solve and the brute-force span do; a solver whose pivot rows
+    # changed between calls would drift from both.
+    rng = random.Random(q)
+    n = 6 if q == 2 else 4
+    for k in (1, 3, 4):
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        if k == 4:
+            rows[3] = _gf_combine(q, [1, 1, 0], rows[:3])  # a dependent row
+        span = {tuple(_gf_combine(q, c, rows)) for c in itertools.product(range(q), repeat=k)}
+        solve = gf_solver(q, rows)
+        targets = [list(t) for t in itertools.product(range(q), repeat=n)]
+        rng.shuffle(targets)
+        first = [solve(t) for t in targets]
+        for t, x in zip(targets, first):
+            assert x == gf_solve(q, rows, t)
+            assert (x is not None) == (tuple(t) in span)
+            if x is not None:
+                assert _gf_combine(q, x, rows) == t
+        assert [solve(t) for t in targets] == first
+        assert sum(x is not None for x in first) == len(span)

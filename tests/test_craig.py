@@ -1,11 +1,13 @@
 import io
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from latpack.errors import CapacityError, ParameterError, ParseError
-from latpack.exactnum import IntMatrix, next_prime, solve_left
+from latpack.exactnum import IntMatrix, gram_det, hnf_basis, next_prime, solve_left
 from latpack.craig import (
     CraigParams,
     IntegerLattice,
@@ -18,11 +20,11 @@ from latpack.craig import (
     verify_section,
     write_basis,
 )
+from latpack.svp import shortest_vector
 
+from craig_reference import binomial_craig_rows, binomial_row
 
-def poly(j, width):
-    """Coefficients of (x-1)^j padded to ``width``."""
-    return [math.comb(j, i) * (-1) ** (j - i) for i in range(j + 1)] + [0] * (width - j - 1)
+CERTIFY_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "certify.json"
 
 
 def first_primes_ge(x, count):
@@ -73,11 +75,53 @@ def test_index_in_full_sum_zero_lattice():
         assert sub == top * l ** (2 * (m - 1))
 
 
+# Criterion 2's lattices (n <= 24, the first two primes l >= n+1) and larger
+# ones up to rank 95, where the binomial entries reach 92 bits.
+EQUIVALENCE_PARAMS = [
+    (n, m, l)
+    for n in range(3, 25)
+    for l in first_primes_ge(n + 1, 2)
+    for m in range(1, (n - 1) // 2 + 1)
+] + [(31, 2, 37), (39, 3, 41), (47, 4, 53), (55, 2, 59), (63, 3, 67), (71, 4, 73), (95, 3, 97)]
+
+
+def test_short_basis_spans_the_binomial_lattice():
+    assert len(EQUIVALENCE_PARAMS) == 264 + 7
+    for n, m, l in EQUIVALENCE_PARAMS:
+        rows = craig_basis(CraigParams(n, m, l)).basis.m
+        assert hnf_basis(IntMatrix(rows)) == hnf_basis(IntMatrix(binomial_craig_rows(n, m, l)))
+        assert max(abs(a) for row in rows for a in row) <= max(math.comb(m, m // 2), l)
+
+
+def test_short_basis_volume_at_large_rank():
+    for n, m, l in EQUIVALENCE_PARAMS[-7:]:
+        assert gram_det(craig_basis(CraigParams(n, m, l)).basis) == l ** (2 * (m - 1)) * (n + 1)
+
+
+def test_short_basis_rows():
+    # (x-1)^2 x^j for j = 0..2, then 7(x-1) x^0, in ascending degree
+    assert craig_basis(CraigParams(4, 2, 7)).basis.m == [
+        [1, -2, 1, 0, 0],
+        [0, 1, -2, 1, 0],
+        [0, 0, 1, -2, 1],
+        [-7, 7, 0, 0, 0],
+    ]
+
+
+def test_short_basis_minima_match_golden():
+    # Minima captured from the binomial bases; the file is read, never written.
+    minima = json.loads(CERTIFY_GOLDEN.read_text())["minima"]
+    assert len(minima) == 42
+    for key, want in minima.items():
+        n, m, l = map(int, key.split(","))
+        assert shortest_vector(craig_basis(CraigParams(n, m, l)))[0] == want, key
+
+
 def test_membership_examples():
     p = CraigParams(6, 3, 7)
-    assert membership(p, poly(3, 7))
-    assert not membership(p, poly(1, 7))
-    assert membership(p, [7 * a for a in poly(1, 7)])
+    assert membership(p, binomial_row(3, 7))
+    assert not membership(p, binomial_row(1, 7))
+    assert membership(p, [7 * a for a in binomial_row(1, 7)])
     with pytest.raises(ParameterError):
         membership(p, [0, 0, 0])
 
@@ -149,6 +193,7 @@ def test_verify_section():
     assert verify_section(CraigParams(4, 2, 7))
     assert verify_section(CraigParams(6, 2, 7))  # degenerate: section is everything
     assert verify_section(CraigParams(4, 2, 11))
+    assert verify_section(CraigParams(125, 5, 127))  # rank 126 under the cap of 128
     with pytest.raises(CapacityError):
         verify_section(CraigParams(4, 2, 211))
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from latpack.exactnum import (
     hnf,
     hnf_basis,
     is_prime,
+    left_solver,
     log2_of,
     next_prime,
     solve_left,
@@ -65,6 +67,15 @@ def test_is_prime_against_trial_division():
         assert not is_prime(c)
     for p in (4099, 4111, 8191, 16381, 2_147_483_647):
         assert is_prime(p)
+
+
+def test_is_prime_past_the_twelve_base_bound():
+    # The first twelve prime bases prove primality only below this number,
+    # which is a strong pseudoprime to all of them (Sorenson & Webster 2017).
+    psi12 = 318_665_857_834_031_151_167_461
+    assert psi12 == 399_165_290_221 * 798_330_580_441
+    assert not is_prime(psi12)
+    assert is_prime(399_165_290_221) and is_prime(798_330_580_441)
 
 
 def test_next_prime_examples():
@@ -151,6 +162,34 @@ def test_solve_left():
     assert x is not None
     assert [x[0] * -1, x[0] - x[1], x[1]] == [-1, 0, 1]
     assert solve_left(B, [1, 0, 0]) is None  # coordinate sum nonzero
+
+
+def test_left_solver_reused_matches_fresh_calls_and_brute_force():
+    # The lattice of the triangular T: every v with entries in [-3, 3] has
+    # coefficients within 5 of zero, so the box search below decides membership.
+    T = [[1, 2, 0, 3], [0, 2, 1, 1], [0, 0, 3, 2]]
+    box = range(-5, 6)
+    inside = set()
+    for x in itertools.product(box, repeat=3):
+        v = tuple(sum(c * r[j] for c, r in zip(x, T)) for j in range(4))
+        if all(-3 <= a <= 3 for a in v):
+            inside.add(v)
+    # One solver on a scrambled basis of the same lattice answers every
+    # target, twice over, exactly as fresh solve_left calls do.
+    B = IntMatrix([[1, 4, 1, 4], [0, 2, 1, 1], [2, 4, 3, 8]])
+    assert hnf_basis(B) == hnf_basis(IntMatrix(T))
+    solve = left_solver(B)
+    targets = [list(v) for v in itertools.product(range(-3, 4), repeat=4)]
+    random.Random(11).shuffle(targets)
+    first = [solve(v) for v in targets]
+    for v, x in zip(targets, first):
+        assert x == solve_left(B, v)
+        assert (x is not None) == (tuple(v) in inside)
+        if x is not None:
+            assert [sum(c * r[j] for c, r in zip(x, B.m)) for j in range(4)] == v
+    assert [solve(v) for v in targets] == first
+    with pytest.raises(ParameterError):
+        solve([0, 0, 0])
 
 
 def test_log2_of_examples():

@@ -9,6 +9,7 @@ from latpack.craig import CraigParams, craig_basis
 from latpack.svp import lll_reduce, shortest_vector, verify_min_norm
 
 import svp_reference
+from craig_reference import binomial_craig_rows
 
 
 def random_unimodular(n, rng, steps=12):
@@ -211,22 +212,36 @@ def assert_same_as_reference(rows, quality=Fraction(99, 100)) -> bool:
     return True
 
 
-def test_differential_criterion_2_lattices():
-    checked = 0
-    for n in range(3, 15):
+def criterion_2_params(max_n):
+    """(n, m, l) of criterion 2 up to max_n: the first two primes l >= n+1."""
+    for n in range(3, max_n + 1):
         first = next_prime(n + 1)
         for l in (first, next_prime(first + 1)):
             for m in range(1, (n - 1) // 2 + 1):
-                assert assert_same_as_reference(craig_basis(CraigParams(n, m, l)).basis)
-                checked += 1
+                yield n, m, l
+
+
+def test_differential_criterion_2_lattices():
+    # The binomial bases, whose entries reach C(n, n/2): large-entry inputs.
+    checked = 0
+    for n, m, l in criterion_2_params(14):
+        assert assert_same_as_reference(IntMatrix(binomial_craig_rows(n, m, l)))
+        checked += 1
     assert checked == 84
+
+
+def test_differential_short_bases():
+    checked = 0
+    for n, m, l in criterion_2_params(10):
+        assert assert_same_as_reference(craig_basis(CraigParams(n, m, l)).basis)
+        checked += 1
+    assert checked == 40
 
 
 def test_differential_scrambles():
     rng = random.Random(17)
-    for p in [CraigParams(5, 2, 7), CraigParams(6, 2, 7), CraigParams(7, 3, 11),
-              CraigParams(8, 3, 11)]:
-        basis = craig_basis(p).basis
+    for n, m, l in [(5, 2, 7), (6, 2, 7), (7, 3, 11), (8, 3, 11)]:
+        basis = IntMatrix(binomial_craig_rows(n, m, l))
         for _ in range(20):
             assert assert_same_as_reference(scramble(basis, rng).m)
 
