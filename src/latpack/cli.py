@@ -42,6 +42,7 @@ def _rational(text: str, flag: str) -> Fraction:
 
 
 def _params(args) -> craig.CraigParams:
+    craig.check_dimension(args.n)
     l = args.l if args.l is not None else next_prime(args.n + 1)
     m = args.m if args.m is not None else craig.choose_params(args.n).m
     return craig.CraigParams(args.n, m, l)
@@ -102,6 +103,7 @@ def cmd_lift(args, out):
 
 
 def cmd_gv(args, out):
+    craig.check_dimension(args.n)
     k = codes.gv_max_k(args.n, args.d)
     out.write(f"exact GV maximum k for [{args.n}, k, {args.d}]: {k}\n")
     claim = REFERENCE_GV_CLAIMS.get((args.n, args.d))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib.resources import files
 
 from .errors import CapacityError, ParameterError, ParseError
-from .exactnum import _log2_fixed, binom_sum, read_int_rows, write_int_rows
+from .exactnum import _log2_fixed, binom_sum, binom_sums, read_int_rows, write_int_rows
 
 __all__ = [
     "CodeSpec",
@@ -28,6 +28,7 @@ __all__ = [
     "min_distance",
     "gv_exists",
     "gv_max_k",
+    "gv_max_ks",
     "griesmer_length",
     "lemma62_params",
     "load_code_table",
@@ -317,13 +318,18 @@ def gv_exists(n: int, k: int, d: int) -> bool:
     return binom_sum(n, d - 1) < (1 << (n - k + 1))
 
 
+def gv_max_ks(n: int, ds) -> list[int]:
+    """gv_max_k(n, d) for each d in ``ds``, from one walk of binomial row n."""
+    ds = list(ds)
+    if not all(1 <= d <= n for d in ds):
+        raise ParameterError("need 1 <= d <= n")
+    sums = binom_sums(n, [d - 1 for d in ds])
+    return [min(max(n + 1 - v.bit_length(), 0), n) for v in sums]
+
+
 def gv_max_k(n: int, d: int) -> int:
     """Largest k certified by the exact GV comparison; 0 if none."""
-    if not (1 <= d <= n):
-        raise ParameterError("need 1 <= d <= n")
-    v = binom_sum(n, d - 1)
-    k = n + 1 - v.bit_length()
-    return min(max(k, 0), n)
+    return gv_max_ks(n, [d])[0]
 
 
 def griesmer_length(q: int, k: int, d: int) -> int:

@@ -19,6 +19,7 @@ from .errors import CapacityError, ParameterError
 from .exactnum import (
     BigRationalSqrt,
     IntMatrix,
+    expand_power_product,
     gram_det,
     is_prime,
     left_solver,
@@ -34,7 +35,9 @@ __all__ = [
     "LogDensity",
     "craig_basis",
     "membership",
+    "center_density_factors",
     "center_density_lb",
+    "check_dimension",
     "choose_params",
     "density_floor",
     "verify_section",
@@ -43,6 +46,17 @@ __all__ = [
 ]
 
 SECTION_RANK_CAP = 128
+# Largest n and l accepted.  They bound the exact integers of a density
+# (m^n and l^(2(m-1)) have at most about n * log2(l) bits), so every
+# subcommand answers in seconds; the published tables stop at n = 16380.
+MAX_N = 65536
+MAX_L = 1 << 18
+
+
+def check_dimension(n: int) -> None:
+    """Reject n above MAX_N; callers run it before any prime search on n."""
+    if n > MAX_N:
+        raise ParameterError(f"n must be <= {MAX_N}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +68,9 @@ class CraigParams:
     l: int
 
     def __post_init__(self):
+        check_dimension(self.n)
+        if self.l > MAX_L:
+            raise ParameterError(f"l must be <= {MAX_L}, got {self.l}")
         if self.n < 2:
             raise ParameterError(f"n must be >= 2, got {self.n}")
         if self.m < 1:
@@ -168,6 +185,15 @@ def membership(p: CraigParams, f) -> bool:
     return True
 
 
+def center_density_factors(p: CraigParams, k: int) -> dict[int, int]:
+    """delta^2 of center_density_lb as {base: exponent}: 2^(2k-n) m^n l^(-2(m-1)) (n+1)^-1."""
+    n, m, l = p.n, p.m, p.l
+    factors: dict[int, int] = {}
+    for base, e in ((2, 2 * k - n), (m, n), (l, -2 * (m - 1)), (n + 1, -1)):
+        factors[base] = factors.get(base, 0) + e
+    return factors
+
+
 def center_density_lb(p: CraigParams, k: int, provenance: str | None = None) -> LogDensity:
     """delta^2 = 2^(2k-n) * m^n / (l^(2(m-1)) * (n+1)), exact.
 
@@ -177,16 +203,9 @@ def center_density_lb(p: CraigParams, k: int, provenance: str | None = None) -> 
     if not 0 <= k <= p.n:
         # The subcode lives inside the [n+1, n, 2] even-weight code.
         raise ParameterError(f"need 0 <= k <= n = {p.n}, got k={k}")
-    n, m, l = p.n, p.m, p.l
-    num = p.m**n
-    den = l ** (2 * (m - 1)) * (n + 1)
-    e = 2 * k - n
-    if e >= 0:
-        num *= 1 << e
-    else:
-        den *= 1 << (-e)
     if provenance is None:
         provenance = "plain" if k == 0 else "lifted"
+    num, den = expand_power_product(center_density_factors(p, k))
     return LogDensity(BigRationalSqrt(num, den), provenance)
 
 
@@ -194,6 +213,7 @@ def choose_params(n: int) -> CraigParams:
     """m nearest to n / (2 ln n) (half up), l the first prime >= n+1."""
     if n < 2:
         raise ParameterError("n must be >= 2")
+    check_dimension(n)
     m = math.floor(n / (2.0 * math.log(n)) + 0.5)
     hi = max(1, -(-n // 2) - 1)  # ceil(n/2) - 1
     m = min(max(1, m), hi)

@@ -1,9 +1,10 @@
 """Exact arithmetic kernel.
 
 Arbitrary-precision binomial sums, deterministic primality, integer-matrix
-Hermite normal form, fraction-free Gram determinants, and base-2 logarithms
-of rationals rendered to a requested number of decimal digits, plus the
-integer-row text format of basis and generator files.  Everything here is
+Hermite normal form, fraction-free Gram determinants, base-2 logarithms
+of rationals rendered to a requested number of decimal digits, and the
+exact order of products of integer powers, plus the integer-row text format
+of basis and generator files.  Everything here is
 pure integer/rational arithmetic; no floating point enters any certified
 path.
 """
@@ -19,6 +20,7 @@ __all__ = [
     "IntMatrix",
     "BigRationalSqrt",
     "binom_sum",
+    "binom_sums",
     "is_prime",
     "next_prime",
     "hnf",
@@ -28,6 +30,8 @@ __all__ = [
     "gram_det",
     "bareiss_det",
     "log2_of",
+    "compare_power_products",
+    "expand_power_product",
     "div_round_half_even",
     "format_scaled",
     "read_int_rows",
@@ -119,18 +123,33 @@ def write_int_rows(fh, header, rows) -> None:
         fh.write(" ".join(str(x) for x in row) + "\n")
 
 
-def binom_sum(n: int, r: int) -> int:
-    """Sum of binomial coefficients C(n,0..r), exact."""
-    if n < 0 or r < 0:
+def binom_sums(n: int, rs) -> list[int]:
+    """Sums of binomial coefficients C(n,0..r) for each r in ``rs``, exact.
+
+    One walk of row n up to max(rs) serves every r.
+    """
+    rs = list(rs)
+    if n < 0 or any(r < 0 for r in rs):
         raise ParameterError("binom_sum arguments must be nonnegative")
-    if r > n:
-        raise ParameterError(f"binom_sum requires r <= n, got r={r} n={n}")
+    for r in rs:
+        if r > n:
+            raise ParameterError(f"binom_sum requires r <= n, got r={r} n={n}")
+    sums = {}
     total = 0
     c = 1
-    for i in range(r + 1):
-        total += c
-        c = c * (n - i) // (i + 1)
-    return total
+    done = 0  # total holds C(n,0..done-1) and c is C(n,done)
+    for r in sorted(set(rs)):
+        for i in range(done, r + 1):
+            total += c
+            c = c * (n - i) // (i + 1)
+        done = r + 1
+        sums[r] = total
+    return [sums[r] for r in rs]
+
+
+def binom_sum(n: int, r: int) -> int:
+    """Sum of binomial coefficients C(n,0..r), exact."""
+    return binom_sums(n, [r])[0]
 
 
 # The first 13 prime bases prove primality for every n below
@@ -142,7 +161,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test."""
+    """Deterministic primality test; raises ParameterError at or above _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ParameterError(f"primality is proven here only below {_MR_LIMIT}, got {n}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -150,29 +171,21 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n < _MR_LIMIT:
-        d = n - 1
-        s = 0
-        while d % 2 == 0:
-            d //= 2
-            s += 1
-        for a in _MR_WITNESSES:
-            x = pow(a, d, n)
-            if x == 1 or x == n - 1:
-                continue
-            for _ in range(s - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
-                return False
-        return True
-    # Inputs this large never occur here; fall back to trial division.
-    f = 71
-    while f * f <= n:
-        if n % f == 0:
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -321,7 +334,14 @@ def gram_det(B: IntMatrix) -> int:
 
 
 def _log2_fixed(num: int, den: int, frac_bits: int) -> int:
-    """Integer T with T / 2^frac_bits = log2(num/den) up to ~2^-(frac_bits-1)."""
+    """Integer T with T <= 2^frac_bits * log2(num/den) < T + 1 + 2^-61.
+
+    Every truncation below rounds down, so T never exceeds the true value.
+    The mantissa carries 64 guard bits: the first mantissa and each squaring
+    step (two truncations) lose under 2.9 * 2^-(frac_bits+64) in log2, and
+    every squaring doubles the loss so far, which therefore ends below
+    5.8 * 2^-64 < 2^-61 units; the dropped remainder adds less than 1 unit.
+    """
     if num <= 0 or den <= 0:
         raise ParameterError("log2 requires a positive rational")
     e = num.bit_length() - den.bit_length()
@@ -342,6 +362,60 @@ def _log2_fixed(num: int, den: int, frac_bits: int) -> int:
             mant >>= 1
             frac |= 1
     return (e << frac_bits) + frac
+
+
+# compare_power_products ranks by logs with this many fractional bits.
+_PRODUCT_LOG_BITS = 64
+
+
+def _log_error_bound(exponent_sum: int) -> int:
+    """Integer at least exponent_sum * (1 + 2^-61), the error of that many logs.
+
+    Each _log2_fixed log undershoots 2^_PRODUCT_LOG_BITS * log2(base) by less
+    than 1 + 2^-61 units.
+    """
+    return exponent_sum + (-(-exponent_sum >> 61))
+
+
+def expand_power_product(factors) -> tuple[int, int]:
+    """(num, den) with num/den = prod(base^exp) over a {base: exponent} map."""
+    num = den = 1
+    for base, e in factors.items():
+        if e >= 0:
+            num *= base**e
+        else:
+            den *= base ** (-e)
+    return num, den
+
+
+def compare_power_products(a, b) -> int:
+    """Exact order of two products prod(base^exp) given as {base: exponent} maps.
+
+    Bases are positive integers and exponents any integers.  Returns -1, 0
+    or 1 as a < b, a == b or a > b.  The fixed-point logs of the bases decide
+    whenever their error interval excludes 0; only then are the products
+    expanded.  No float enters.
+    """
+    exps = dict(a)
+    for base, e in b.items():
+        exps[base] = exps.get(base, 0) - e
+    total = up = down = 0
+    for base, e in exps.items():
+        if e == 0 or base == 1:
+            continue
+        total += e * _log2_fixed(base, 1, _PRODUCT_LOG_BITS)
+        if e > 0:
+            up += e
+        else:
+            down -= e
+    # 2^_PRODUCT_LOG_BITS * log2(a/b) is at least total - err(down) and at
+    # most total + err(up).
+    if total > _log_error_bound(down):
+        return 1
+    if total < -_log_error_bound(up):
+        return -1
+    num, den = expand_power_product(exps)
+    return (num > den) - (num < den)
 
 
 def div_round_half_even(a: int, b: int) -> int:

@@ -15,12 +15,21 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ParameterError
-from .exactnum import BigRationalSqrt, IntMatrix, hnf_basis, is_prime, next_prime
+from .exactnum import (
+    BigRationalSqrt,
+    IntMatrix,
+    compare_power_products,
+    hnf_basis,
+    is_prime,
+    next_prime,
+)
 from .craig import (
     CraigParams,
     IntegerLattice,
     LogDensity,
+    center_density_factors,
     center_density_lb,
+    check_dimension,
     choose_params,
     craig_basis,
     membership,
@@ -36,6 +45,7 @@ from .codes import (
     griesmer_length,
     gv_exists,
     gv_max_k,
+    gv_max_ks,
     repetition,
 )
 
@@ -272,31 +282,34 @@ def _candidate_ms(n: int) -> list[int]:
 def sweep_dimension(n: int) -> LiftResult:
     """Best density over a bounded window of m, with k from GV and the code table.
 
-    Deterministic tie-break: higher density, then smaller m, then smaller l.
+    One walk of binomial row n gives every GV k, candidates are ranked by
+    the exact order of their factored densities, and only the winner's
+    density is expanded.  Deterministic tie-break: higher density, then
+    smaller m.
     """
     if n < 8:
         raise ParameterError("sweep requires n >= 8")
+    check_dimension(n)
     table = codes.builtin_code_table()
     l = next_prime(n + 1)
-    best: LiftResult | None = None
-    for m in _candidate_ms(n):
-        need = 8 * m
+    ms = _candidate_ms(n)
+    coded = [m for m in ms if 8 * m <= n]
+    gv_k = dict(zip(coded, gv_max_ks(n, [8 * m for m in coded])))
+    best = None  # (params, k, factors)
+    for m in ms:
         k = 0
-        if need <= n:
-            k = max(gv_max_k(n, need), table.best_k_at_distance(2, n, need))
+        if m in gv_k:
+            k = max(gv_k[m], table.best_k_at_distance(2, n, 8 * m))
         params = CraigParams(n, m, l)
-        if k > 0:
-            density = center_density_lb(params, k, "lifted")
-            code = CodeSpec(2, n, k, need, codes.GV_EXISTS)
-            guarantee = 8 * m
-        else:
-            density = center_density_lb(params, 0, "plain")
-            code = None
-            guarantee = 2 * m
-        cand = LiftResult(params, code, density, guarantee)
-        if best is None or best.density.delta_sq < cand.density.delta_sq:
-            best = cand
-    return best
+        factors = center_density_factors(params, k)
+        if best is None or compare_power_products(factors, best[2]) > 0:
+            best = (params, k, factors)
+    params, k, _ = best
+    m = params.m
+    if k > 0:
+        code = CodeSpec(2, n, k, 8 * m, codes.GV_EXISTS)
+        return LiftResult(params, code, center_density_lb(params, k, "lifted"), 8 * m)
+    return LiftResult(params, None, center_density_lb(params, 0, "plain"), 2 * m)
 
 
 def construction_a_density(c: CodeSpec) -> LogDensity:

@@ -1,0 +1,46 @@
+"""Reference dimension sweep for the differential tests of `latpack.lift`.
+
+This is the `sweep_dimension` that `latpack.lift` used before it walked the
+binomial row once and ranked candidates by factored densities, copied
+unchanged: it calls `gv_max_k` once per m and compares the expanded
+`BigRationalSqrt` values.  It is a test oracle only.
+"""
+
+from __future__ import annotations
+
+from latpack import codes
+from latpack.codes import CodeSpec, gv_max_k
+from latpack.craig import CraigParams, center_density_lb
+from latpack.errors import ParameterError
+from latpack.exactnum import next_prime
+from latpack.lift import LiftResult, _candidate_ms
+
+
+def sweep_dimension(n: int) -> LiftResult:
+    """Best density over a bounded window of m, with k from GV and the code table.
+
+    Deterministic tie-break: higher density, then smaller m, then smaller l.
+    """
+    if n < 8:
+        raise ParameterError("sweep requires n >= 8")
+    table = codes.builtin_code_table()
+    l = next_prime(n + 1)
+    best: LiftResult | None = None
+    for m in _candidate_ms(n):
+        need = 8 * m
+        k = 0
+        if need <= n:
+            k = max(gv_max_k(n, need), table.best_k_at_distance(2, n, need))
+        params = CraigParams(n, m, l)
+        if k > 0:
+            density = center_density_lb(params, k, "lifted")
+            code = CodeSpec(2, n, k, need, codes.GV_EXISTS)
+            guarantee = 8 * m
+        else:
+            density = center_density_lb(params, 0, "plain")
+            code = None
+            guarantee = 2 * m
+        cand = LiftResult(params, code, density, guarantee)
+        if best is None or best.density.delta_sq < cand.density.delta_sq:
+            best = cand
+    return best

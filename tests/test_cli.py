@@ -1,12 +1,17 @@
 import io
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import latpack
 from latpack import lift
 from latpack.cli import run
-from latpack.craig import read_basis
-from latpack.exactnum import gram_det
+from latpack.craig import MAX_L, MAX_N, read_basis
+from latpack.exactnum import gram_det, is_prime, next_prime
 
 
 def invoke(*argv):
@@ -65,7 +70,8 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert run(["table", "--id", "11"], io.StringIO()) == 2
     # The 2m norm guarantee needs a prime l; 55 = 5 * 11.
     assert run(["density", "--n", "52", "--m", "6", "--l", "55"], io.StringIO()) == 2
-    # A strong pseudoprime to the twelve bases 2..37 (Sorenson & Webster 2017).
+    # A strong pseudoprime to the twelve bases 2..37 (Sorenson & Webster 2017),
+    # and above MAX_L.
     assert run(["density", "--n", "52", "--m", "6", "--l", "318665857834031151167461"],
                io.StringIO()) == 2
     # k > n: no subcode of the [n+1, n, 2] even-weight code has dimension k.
@@ -148,3 +154,58 @@ def test_internal_value_error_propagates(monkeypatch):
     monkeypatch.setattr(lift, "sweep_dimension", broken)
     with pytest.raises(ValueError, match="internal bug"):
         run(["sweep", "--n", "100"], io.StringIO())
+
+
+def _exit_code_within(argv, timeout=60) -> int:
+    """Exit code of latpack in a child process; a hang fails the test at the timeout."""
+    src = str(Path(latpack.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run([sys.executable, "-m", "latpack.cli", *argv], env=env, timeout=timeout,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def test_size_inputs_answer_in_bounded_time(tmp_path):
+    # n <= MAX_N and l <= MAX_L bound every exact integer a subcommand builds:
+    # at the caps each subcommand with a size input answers, just above them
+    # it exits 2, and none runs past the timeout.
+    n, m = str(MAX_N), str(MAX_N // 8)
+    l = MAX_L
+    while not is_prime(l):
+        l -= 1
+    top, over = str(l), str(next_prime(MAX_L + 1))
+    code = tmp_path / "code.txt"
+    code.write_text(f"2 {MAX_N} 1\n" + " ".join(["1"] * MAX_N) + "\n")  # [n, 1, n]
+    huge_prime = "1000000000000000000000000007"  # above exactnum._MR_LIMIT
+    at_caps = [
+        (["density", "--n", n, "--m", str((MAX_N + 1) // 2), "--l", top, "--k", n], 0),
+        (["construct", "--n", "10", "--m", "2", "--l", top], 0),
+        (["construct", "--n", n], 3),  # basis construction stops at ambient 512
+        (["lift", "--n", n, "--m", m, "--l", top, "--code", str(code)], 0),
+        (["gv", "--n", n, "--d", n], 0),
+        (["sweep", "--n", n], 0),
+        (["conditional", "--n", n, "--m", m, "--l", top, "--req-n", str(MAX_N + 1),
+          "--req-k", "1", "--req-d", n], 0),
+        (["mwbeat", "--p", "2039"], 0),
+        (["pipeline24", "--dim", "8640"], 0),
+    ]
+    above_caps = [
+        ["density", "--n", str(MAX_N + 1), "--m", "2"],
+        ["density", "--n", "10000000000000000000000000", "--m", "2"],
+        ["density", "--n", "52", "--m", "6", "--l", over],
+        ["density", "--n", "52", "--m", "6", "--l", huge_prime],
+        ["construct", "--n", str(MAX_N + 1)],
+        ["construct", "--n", "10", "--m", "2", "--l", over],
+        ["lift", "--n", str(MAX_N + 1), "--m", m, "--code", str(code)],
+        ["gv", "--n", str(MAX_N + 1), "--d", "3"],
+        ["sweep", "--n", str(MAX_N + 1)],
+        ["conditional", "--n", str(MAX_N + 1), "--m", m, "--l", over, "--req-n", n,
+         "--req-k", "1", "--req-d", n],
+        ["mwbeat", "--p", "2063"],
+        ["mwbeat", "--p", huge_prime],
+        ["pipeline24", "--dim", "8664"],
+    ]
+    for argv, want in at_caps:
+        assert _exit_code_within(argv) == want, argv
+    for argv in above_caps:
+        assert _exit_code_within(argv) == 2, argv

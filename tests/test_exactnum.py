@@ -7,10 +7,12 @@ import pytest
 
 from latpack.errors import ParameterError, RankError
 from latpack.exactnum import (
+    _MR_LIMIT,
     BigRationalSqrt,
     IntMatrix,
     bareiss_det,
     binom_sum,
+    binom_sums,
     div_round_half_even,
     gram_det,
     hnf,
@@ -48,6 +50,16 @@ def test_binom_sum_4096_bitlength():
     assert binom_sum(4096, 1023).bit_length() == 3316
 
 
+def test_binom_sums_one_walk_serves_every_r():
+    assert binom_sums(24, [5, 0, 24, 5, 2]) == [55455, 1, 2**24, 55455, 301]
+    assert binom_sums(7, []) == []
+    assert binom_sums(4096, [1023, 1022]) == [binom_sum(4096, 1023), binom_sum(4096, 1022)]
+    with pytest.raises(ParameterError):
+        binom_sums(3, [1, 4])
+    with pytest.raises(ParameterError):
+        binom_sums(3, [-1])
+
+
 def _naive_is_prime(n):
     if n < 2:
         return False
@@ -76,6 +88,16 @@ def test_is_prime_past_the_twelve_base_bound():
     assert psi12 == 399_165_290_221 * 798_330_580_441
     assert not is_prime(psi12)
     assert is_prime(399_165_290_221) and is_prime(798_330_580_441)
+
+
+def test_is_prime_refuses_past_the_thirteen_base_bound():
+    # No trial-division fallback: above the proven range the answer is an error.
+    for n in (_MR_LIMIT, _MR_LIMIT + 1, 10**27 + 7, 2**89 - 1):
+        with pytest.raises(ParameterError):
+            is_prime(n)
+    with pytest.raises(ParameterError):
+        next_prime(10**25)
+    assert isinstance(is_prime(_MR_LIMIT - 2), bool)  # just below, it answers
 
 
 def test_next_prime_examples():

@@ -26,7 +26,10 @@ from latpack.lift import (
     reduce_mod2,
     sweep_dimension,
 )
+from latpack.records import table_rows
 from latpack.svp import shortest_vector
+
+import sweep_reference
 
 
 def even_code(rows, n, d):
@@ -245,6 +248,19 @@ def test_sweep_dimension():
     assert r.min_norm_guarantee in (2 * r.params.m, 8 * r.params.m)
     with pytest.raises(ParameterError):
         sweep_dimension(7)
+
+
+def _sweep_fields(r):
+    return r.params, r.code, r.density.delta_sq, r.density.provenance, r.min_norm_guarantee
+
+
+def test_sweep_matches_reference():
+    # The earlier sweep (one gv_max_k per m, expanded densities compared) as
+    # the oracle, on every n below 1200 and every sweep row of tables 6-10.
+    rows = sorted({r.dim for t in range(6, 11) for r in table_rows(t) if r.kind == "sweep"})
+    assert len(rows) == 46 and rows[-1] == 16380
+    for n in list(range(8, 1200)) + rows:
+        assert _sweep_fields(sweep_dimension(n)) == _sweep_fields(sweep_reference.sweep_dimension(n)), n
 
 
 def test_sweep_deterministic():

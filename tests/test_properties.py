@@ -4,10 +4,13 @@ One HNF elimination serves `hnf` and `hnf_basis`, one GF(q) elimination
 serves `gf_rank` and `gf_solve`, and one round-half-even path renders every
 margin and logarithm; each property below checks one of them against an
 independent oracle (Gram determinants, brute-force spans, the polynomial
-membership criterion, `decimal` formatting, a `binom_sum` scan).
+membership criterion, `decimal` formatting, a `binom_sum` scan).  The
+binomial prefix walk and the exact power-product order are checked against
+`math.comb` and `Fraction`.
 """
 
 import itertools
+import math
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from unittest import mock
@@ -15,14 +18,17 @@ from unittest import mock
 from hypothesis import assume, given, settings, strategies as st
 
 from latpack import exactnum
-from latpack.codes import gf_add, gf_mul, gf_rank, gf_solve, gv_exists, gv_max_k
+from latpack.codes import gf_add, gf_mul, gf_rank, gf_solve, gv_exists, gv_max_k, gv_max_ks
 from latpack.craig import CraigParams, craig_basis, membership
 from latpack.errors import RankError
 from latpack.exactnum import (
     BigRationalSqrt,
     IntMatrix,
+    _log2_fixed,
     bareiss_det,
     binom_sum,
+    binom_sums,
+    compare_power_products,
     gram_det,
     hnf,
     hnf_basis,
@@ -198,3 +204,89 @@ def test_log2_of_rounds_ties_to_even(j, digits):
     # the rendering is one of the two neighbours, and its last digit is even
     assert abs(Fraction(got) - exact) == Fraction(1, 2 * 10**digits)
     assert int(got[-1]) % 2 == 0
+
+
+@given(st.data())
+def test_binom_sums_match_comb(data):
+    n = data.draw(st.integers(0, 150))
+    rs = data.draw(st.lists(st.integers(0, n), max_size=8))
+    assert binom_sums(n, rs) == [sum(math.comb(n, i) for i in range(r + 1)) for r in rs]
+
+
+@given(st.data())
+def test_gv_max_ks_matches_gv_max_k(data):
+    n = data.draw(st.integers(1, 400))
+    ds = data.draw(st.lists(st.integers(1, n), max_size=8))
+    assert gv_max_ks(n, ds) == [gv_max_k(n, d) for d in ds]
+
+
+def _order(x, y) -> int:
+    return (x > y) - (x < y)
+
+
+def _pow2_times_order(t, x, y) -> int:
+    """Order of 2^t * x against y, exact for any integer t."""
+    return _order(x << t, y) if t >= 0 else _order(x, y << -t)
+
+
+@given(st.integers(1, 10**9), st.integers(1, 10**9), st.integers(0, 9))
+def test_log2_fixed_error_bound(num, den, bits):
+    # The stated bound is T <= 2^bits log2(num/den) < T + 1 + 2^-61; the exact
+    # check of the upper end is against T + 1, which only a value within
+    # 2^-61 of the next unit could pass the bound and fail.
+    t = _log2_fixed(num, den, bits)
+    x, y = den ** (1 << bits), num ** (1 << bits)  # (num/den)^(2^bits) = y/x
+    assert _pow2_times_order(t, x, y) <= 0
+    assert _pow2_times_order(t + 1, x, y) > 0
+
+
+@given(st.integers(2, 10**12))
+def test_log2_fixed_error_bound_at_64_bits(base):
+    # At the comparator's 64 bits, against 192 bits of the same kernel:
+    # T64 <= 2^64 log2(base) < T64 + 1.
+    t64 = _log2_fixed(base, 1, 64)
+    t192 = _log2_fixed(base, 1, 192)
+    assert t64 << 128 <= t192
+    assert t192 + 2 <= (t64 + 1) << 128
+
+
+def _product(factors) -> Fraction:
+    value = Fraction(1)
+    for base, e in factors.items():
+        value *= Fraction(base) ** e
+    return value
+
+
+power_products = st.dictionaries(st.integers(1, 60), st.integers(-40, 40), max_size=5)
+
+
+@given(power_products, power_products)
+def test_compare_power_products_matches_fraction_order(a, b):
+    assert compare_power_products(a, b) == _order(_product(a), _product(b))
+
+
+@given(st.integers(2, 10**6), st.integers(2, 12), st.integers(-30, 30), st.integers(2, 10**6))
+def test_compare_power_products_equal_products_written_differently(b, j, e, c):
+    # Equal values over different bases: the logs cannot separate them, so
+    # the answer 0 has to come from the expansion.
+    assume(c not in (b, b**j))
+    assert compare_power_products({b: j * e}, {b**j: e}) == 0
+    assert compare_power_products({b * c: e}, {b: e, c: e}) == 0
+    assert compare_power_products({b**j: e, c: 1}, {b: j * e, c: 1}) == 0
+
+
+@given(st.integers(2, 1000), st.integers(1, 5), st.integers(-3, 3))
+def test_compare_power_products_below_log_resolution(b, e, delta):
+    # (b^j + delta)^e against b^(j e) with b^j > 2^72: the logs differ by
+    # less than their error, and only the expansion decides.
+    j = 72 // b.bit_length() + 2
+    assert compare_power_products({b**j + delta: e}, {b: j * e}) == _order(delta, 0)
+
+
+def test_compare_power_products_examples():
+    assert compare_power_products({4: 1}, {2: 2}) == 0
+    assert compare_power_products({6: 1}, {2: 1, 3: 1}) == 0
+    assert compare_power_products({}, {1: 5, 7: 0}) == 0
+    assert compare_power_products({2**64 + 1: 1}, {2: 64}) == 1
+    assert compare_power_products({3: 1000}, {2: 1585}) == -1  # 1000 log2 3 = 1584.96
+    assert compare_power_products({2: -3}, {}) == -1

@@ -4,25 +4,13 @@ from fractions import Fraction
 import pytest
 
 from latpack.errors import CapacityError, ParameterError, RankError
-from latpack.exactnum import IntMatrix, gram_det, next_prime
+from latpack.exactnum import IntMatrix, gram_det
 from latpack.craig import CraigParams, craig_basis
 from latpack.svp import lll_reduce, shortest_vector, verify_min_norm
 
+import svp_cases
 import svp_reference
-from craig_reference import binomial_craig_rows
-
-
-def random_unimodular(n, rng, steps=12):
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice([-2, -1, 1, 2])
-        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    return IntMatrix(rows)
-
-
-def scramble(basis: IntMatrix, rng) -> IntMatrix:
-    return random_unimodular(basis.rows, rng).matmul(basis)
+from svp_cases import DEFAULT_QUALITY, scramble
 
 
 def brute_force_min(basis: IntMatrix) -> int:
@@ -178,7 +166,8 @@ def test_certificate_node_count():
     assert verify_min_norm(moved, 8) == cert
 
 
-# Differential tests against the rational reference implementation.
+# Differential tests against the rational reference implementation, whose
+# outputs on these inputs are recorded in svp_reference_data.json.
 
 
 def _result_or_rank_error(fn, *args):
@@ -188,72 +177,55 @@ def _result_or_rank_error(fn, *args):
         return RankError
 
 
-def assert_same_as_reference(rows, quality=Fraction(99, 100)) -> bool:
+def assert_same_as_reference(rows, quality=DEFAULT_QUALITY) -> bool:
     """Assert that latpack.svp and the reference agree on `rows`: the same
     reduced basis and Gram-Schmidt data and, at the default quality, the
     same minimum and witness; or RankError on both sides.  Returns whether
     the rows were independent."""
-    want = _result_or_rank_error(svp_reference.lll_reduce, rows, quality)
+    want = svp_cases.recorded_reference(rows, quality)
     got = _result_or_rank_error(lll_reduce, rows, quality)
     if want is RankError:
         assert got is RankError
         with pytest.raises(RankError):
             shortest_vector(rows)
         return False
-    assert got.basis == want.basis
-    assert got.mu == want.mu
-    assert got.gso_norms == want.gso_norms
-    if quality == Fraction(99, 100):
-        # The reference LLL returns a reduced basis unchanged, so enumerating
-        # from want.basis is the reference's enumeration of `rows` without
-        # paying for its LLL on `rows` twice.
-        assert svp_reference.lll_reduce(want.basis).basis == want.basis
-        assert shortest_vector(rows) == svp_reference.shortest_vector(want.basis)
+    reduced, shortest = want
+    assert got.basis == reduced.basis
+    assert got.mu == reduced.mu
+    assert got.gso_norms == reduced.gso_norms
+    if quality == DEFAULT_QUALITY:
+        assert shortest_vector(rows) == shortest
     return True
-
-
-def criterion_2_params(max_n):
-    """(n, m, l) of criterion 2 up to max_n: the first two primes l >= n+1."""
-    for n in range(3, max_n + 1):
-        first = next_prime(n + 1)
-        for l in (first, next_prime(first + 1)):
-            for m in range(1, (n - 1) // 2 + 1):
-                yield n, m, l
 
 
 def test_differential_criterion_2_lattices():
     # The binomial bases, whose entries reach C(n, n/2): large-entry inputs.
     checked = 0
-    for n, m, l in criterion_2_params(14):
-        assert assert_same_as_reference(IntMatrix(binomial_craig_rows(n, m, l)))
+    for rows in svp_cases.criterion_2_bases():
+        assert assert_same_as_reference(rows)
         checked += 1
     assert checked == 84
 
 
 def test_differential_short_bases():
     checked = 0
-    for n, m, l in criterion_2_params(10):
-        assert assert_same_as_reference(craig_basis(CraigParams(n, m, l)).basis)
+    for rows in svp_cases.short_bases():
+        assert assert_same_as_reference(rows)
         checked += 1
     assert checked == 40
 
 
 def test_differential_scrambles():
-    rng = random.Random(17)
-    for n, m, l in [(5, 2, 7), (6, 2, 7), (7, 3, 11), (8, 3, 11)]:
-        basis = IntMatrix(binomial_craig_rows(n, m, l))
-        for _ in range(20):
-            assert assert_same_as_reference(scramble(basis, rng).m)
+    checked = 0
+    for rows in svp_cases.scrambled_bases():
+        assert assert_same_as_reference(rows)
+        checked += 1
+    assert checked == 80
 
 
 def test_differential_random_matrices():
-    rng = random.Random(7)
     independent = 0
-    for _ in range(300):
-        r = rng.randint(2, 6)
-        cols = rng.randint(r - 1, r + 1)
-        rows = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(r)]
-        for quality in (Fraction(99, 100), Fraction(3, 4)):
-            independent += assert_same_as_reference(rows, quality)
+    for rows, quality in svp_cases.random_matrices():
+        independent += assert_same_as_reference(rows, quality)
     # both outcomes are exercised
     assert 0 < independent < 600
