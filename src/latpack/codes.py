@@ -77,12 +77,19 @@ def gf_mul(q: int, a: int, b: int) -> int:
     return _reduce(_clmul(a, b), _MODULUS[q])
 
 
+@functools.cache
+def _mul_table(q: int) -> tuple[tuple[int, ...], ...]:
+    """The product table of GF(q): ``_mul_table(q)[a][b] == gf_mul(q, a, b)``."""
+    return tuple(tuple(gf_mul(q, a, b) for b in range(q)) for a in range(q))
+
+
 def _gf_eliminate(q: int, work, ncols: int) -> list[int]:
     """Reduced row echelon form over GF(q) of the first ``ncols`` columns of ``work``.
 
     Works in place on whole rows, so columns past ``ncols`` (an appended
     identity, say) record the row operations.  Returns the pivot columns.
     """
+    mul = _mul_table(q)
     pivcols = []
     for c in range(ncols):
         rank = len(pivcols)
@@ -92,12 +99,13 @@ def _gf_eliminate(q: int, work, ncols: int) -> list[int]:
         if piv is None:
             continue
         work[rank], work[piv] = work[piv], work[rank]
-        inv = next(e for e in range(1, q) if gf_mul(q, work[rank][c], e) == 1)
-        work[rank] = [gf_mul(q, inv, x) for x in work[rank]]
+        scale = mul[mul[work[rank][c]].index(1)]
+        prow = work[rank] = [scale[x] for x in work[rank]]
         for i in range(len(work)):
-            if i != rank and work[i][c]:
-                f = work[i][c]
-                work[i] = [gf_add(x, gf_mul(q, f, y)) for x, y in zip(work[i], work[rank])]
+            f = work[i][c]
+            if f and i != rank:
+                fm = mul[f]
+                work[i] = [x ^ fm[y] for x, y in zip(work[i], prow)]
         pivcols.append(c)
     return pivcols
 
@@ -121,20 +129,21 @@ def gf_solver(q: int, rows):
     ncols = len(rows[0])
     aug = [list(r) + [1 if i == j else 0 for j in range(nrows)] for i, r in enumerate(rows)]
     pivots = [(c, aug[i]) for i, c in enumerate(_gf_eliminate(q, aug, ncols))]
+    mul = _mul_table(q)
 
     def solve(target):
-        x = [0] * nrows
-        residual = list(target)
+        if len(target) != ncols:
+            raise ParameterError("target length does not match the rows")
+        # The target and its coefficients reduce together, as one row of [rows | I].
+        acc = list(target) + [0] * nrows
         for c, row in pivots:
-            f = residual[c]
+            f = acc[c]
             if f:
-                for j in range(ncols):
-                    residual[j] = gf_add(residual[j], gf_mul(q, f, row[j]))
-                for j in range(nrows):
-                    x[j] = gf_add(x[j], gf_mul(q, f, row[ncols + j]))
-        if any(residual):
+                fm = mul[f]
+                acc = [a ^ fm[b] for a, b in zip(acc, row)]
+        if any(acc[:ncols]):
             return None
-        return x
+        return acc[ncols:]
 
     return solve
 

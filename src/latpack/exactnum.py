@@ -207,6 +207,12 @@ def _hnf_inplace(mat, ncols):
     Row operations act on whole rows, so columns past ``ncols`` (an appended
     identity, say) record the transform.  Pivots positive, entries above
     each pivot reduced into [0, pivot).  Returns the pivot column indices.
+
+    Gcd elimination below the pivots gives the echelon form first.  One pass
+    from the bottom up then reduces each pivot row against the rows below it,
+    which are already reduced and zero left of their pivots, so no row is
+    reduced twice at a column.  The reduced form H is unique, and so is the
+    transform of a full-row-rank matrix.
     """
     nrows = len(mat)
     pivots = []
@@ -236,12 +242,15 @@ def _hnf_inplace(mat, ncols):
             continue
         if mat[r][c] < 0:
             mat[r] = [-a for a in mat[r]]
-        for i in range(r):
-            q = mat[i][c] // mat[r][c]
-            if q:
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
+    for i in range(r - 2, -1, -1):
+        row = mat[i]
+        for s in range(i + 1, r):
+            q = row[pivots[s]] // mat[s][pivots[s]]
+            if q:
+                row = [a - q * b for a, b in zip(row, mat[s])]
+        mat[i] = row
     return pivots
 
 

@@ -248,3 +248,7 @@ def test_gf_solver_reused_matches_fresh_calls_and_brute_force(q):
                 assert _gf_combine(q, x, rows) == t
         assert [solve(t) for t in targets] == first
         assert sum(x is not None for x in first) == len(span)
+    # A target of another length is refused, not truncated or run off the end.
+    for bad in ([0] * (n - 1), [0] * (n + 1)):
+        with pytest.raises(ParameterError):
+            solve(bad)

@@ -23,6 +23,11 @@ from latpack.exactnum import (
     next_prime,
     solve_left,
 )
+from latpack.craig import CraigParams, craig_basis
+from latpack.lift import _lift_generator_rows
+
+import hnf_reference
+from craig_reference import binomial_craig_rows
 
 
 def test_binom_sum_examples():
@@ -156,6 +161,68 @@ def test_hnf_preserves_gram_det_a2():
     A2 = IntMatrix([[-1, 1, 0], [0, -1, 1]])
     H, U = hnf(A2)
     assert gram_det(H) == gram_det(A2) == 3
+
+
+def _reference_agrees(M):
+    """hnf and hnf_basis of M equal the reference kernel's, RankError included."""
+    for new, old in ((hnf, hnf_reference.hnf), (hnf_basis, hnf_reference.hnf_basis)):
+        try:
+            want = old(M)
+        except RankError:
+            with pytest.raises(RankError):
+                new(M)
+        else:
+            assert new(M) == want
+
+
+def test_hnf_matches_reference_on_craig_bases():
+    # m = n/2 stops at n = 48: the reference takes seconds on it beyond.
+    for n in (8, 17, 31, 48, 63, 80, 96):
+        l = next_prime(n + 1)
+        for m in sorted({1, 2, 3, n // 8} | ({n // 2} if n <= 48 else set())):
+            _reference_agrees(craig_basis(CraigParams(n, m, l)).basis)
+            if n <= 63:
+                _reference_agrees(IntMatrix(binomial_craig_rows(n, m, l)))
+
+
+def test_hnf_basis_matches_reference_on_preimage_stacks():
+    # The stacked system of lift._preimage_lattice: lifts of the generators
+    # of a seeded even-weight code over twice the Craig basis.
+    rng = random.Random(95)
+    for n, m in ((31, 1), (47, 2), (63, 3), (79, 2), (95, 3)):
+        base = craig_basis(CraigParams(n, m, next_prime(n + 1))).basis.m
+        for k in (1, n // 4, n // 2):
+            code = []
+            for _ in range(k):
+                row = [rng.randrange(2) for _ in range(n)]
+                code.append(row + [sum(row) % 2])
+            stack = _lift_generator_rows(base, code) + [[2 * x for x in row] for row in base]
+            want = hnf_reference.hnf_basis(IntMatrix(stack))
+            assert hnf_basis(IntMatrix(stack)) == want
+            assert want.rows == n
+
+
+def test_hnf_matches_reference_on_random_matrices():
+    rng = random.Random(40)
+    for _ in range(250):
+        rows = rng.randrange(1, 41)
+        cols = max(1, rows + rng.randrange(-3, 4))
+        band = rng.choice((cols, 1, 2, 4))  # dense, or nonzero only near the diagonal
+        bound = rng.choice((1, 3, 50, 10**6))
+        mat = [
+            [rng.randint(-bound, bound) if 0 <= j - i < band else 0 for j in range(cols)]
+            for i in range(rows)
+        ]
+        for j in rng.sample(range(cols), rng.randrange(0, min(3, cols))):
+            for row in mat:  # zero columns
+                row[j] = 0
+        if rows > 2 and rng.random() < 0.4:  # a dependent row: a generating set
+            a, b = rng.sample(range(rows), 2)
+            f, g = rng.randint(-3, 3), rng.randint(-3, 3)
+            c = rng.choice([i for i in range(rows) if i not in (a, b)])
+            mat[c] = [f * x + g * y for x, y in zip(mat[a], mat[b])]
+        rng.shuffle(mat)
+        _reference_agrees(IntMatrix(mat))
 
 
 def test_gram_det_examples():

@@ -5,8 +5,9 @@ serves `gf_rank` and `gf_solve`, and one round-half-even path renders every
 margin and logarithm; each property below checks one of them against an
 independent oracle (Gram determinants, brute-force spans, the polynomial
 membership criterion, `decimal` formatting, a `binom_sum` scan).  The
-binomial prefix walk and the exact power-product order are checked against
-`math.comb` and `Fraction`.
+table-driven GF(q) elimination is also checked against one that calls
+`gf_mul` for every entry.  The binomial prefix walk and the exact
+power-product order are checked against `math.comb` and `Fraction`.
 """
 
 import itertools
@@ -18,7 +19,16 @@ from unittest import mock
 from hypothesis import assume, given, settings, strategies as st
 
 from latpack import exactnum
-from latpack.codes import gf_add, gf_mul, gf_rank, gf_solve, gv_exists, gv_max_k, gv_max_ks
+from latpack.codes import (
+    gf_add,
+    gf_mul,
+    gf_rank,
+    gf_solve,
+    gf_solver,
+    gv_exists,
+    gv_max_k,
+    gv_max_ks,
+)
 from latpack.craig import CraigParams, craig_basis, membership
 from latpack.errors import RankError
 from latpack.exactnum import (
@@ -44,10 +54,16 @@ settings.load_profile("latpack")
 
 @st.composite
 def int_matrices(draw):
-    rows = draw(st.integers(1, 4))
-    cols = rows + draw(st.integers(0, 2))
-    row = st.lists(st.integers(-9, 9), min_size=cols, max_size=cols)
-    return IntMatrix(draw(st.lists(row, min_size=rows, max_size=rows)))
+    """Up to 8 rows, wide or tall, dense or nonzero only in a band right of
+    the diagonal (as in the short Craig basis), so pivot rows reach into the
+    columns of later pivots and the final reduction pass has work to do."""
+    rows = draw(st.integers(1, 8))
+    cols = max(1, rows + draw(st.integers(-2, 2)))
+    band = draw(st.sampled_from([cols, 2, 3]))
+    entry = st.integers(-9, 9)
+    return IntMatrix(
+        [[draw(entry) if 0 <= j - i < band else 0 for j in range(cols)] for i in range(rows)]
+    )
 
 
 def is_hermite(rows) -> bool:
@@ -77,7 +93,7 @@ def test_hnf_transform_and_form(M):
     assert hnf_basis(M) == H
 
 
-@given(int_matrices(), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+@given(int_matrices(), st.lists(st.integers(-3, 3), min_size=8, max_size=8))
 def test_hnf_basis_of_generating_set(M, coeffs):
     assume(any(any(r) for r in M.m))
     extra = [sum(c * row[j] for c, row in zip(coeffs, M.m)) for j in range(M.cols)]
@@ -137,6 +153,53 @@ def test_gf_solve_and_rank_agree_with_brute_force_span(q, data):
     if x is not None:
         assert combine(q, x, rows) == target
     assert (gf_rank(q, rows + [target]) == gf_rank(q, rows)) == inside
+
+
+def _gf_eliminate_per_entry(q, work, ncols):
+    """Reduced row echelon form over GF(q) with one gf_mul call per entry, in place."""
+    pivots = []
+    for c in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = next(e for e in range(1, q) if gf_mul(q, work[rank][c], e) == 1)
+        work[rank] = [gf_mul(q, inv, x) for x in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][c]:
+                f = work[i][c]
+                work[i] = [gf_add(x, gf_mul(q, f, y)) for x, y in zip(work[i], work[rank])]
+        pivots.append(c)
+    return pivots
+
+
+def _gf_solve_per_entry(q, rows, target):
+    """x with sum x_i * rows[i] = target, reduced along the pivot rows of [rows | I]."""
+    n, k = len(rows[0]), len(rows)
+    aug = [list(r) + [int(i == j) for j in range(k)] for i, r in enumerate(rows)]
+    pivots = _gf_eliminate_per_entry(q, aug, n)
+    acc = list(target) + [0] * k
+    for c, row in zip(pivots, aug):
+        f = acc[c]
+        acc = [gf_add(a, gf_mul(q, f, b)) for a, b in zip(acc, row)]
+    return None if any(acc[:n]) else acc[n:]
+
+
+@given(st.sampled_from([2, 4, 8]), st.data())
+def test_gf_solver_and_rank_match_per_entry_elimination(q, data):
+    k = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(1, 8))
+    symbol = st.integers(0, q - 1)
+    rows = data.draw(st.lists(st.lists(symbol, min_size=n, max_size=n), min_size=k, max_size=k))
+    assert gf_rank(q, rows) == len(_gf_eliminate_per_entry(q, [list(r) for r in rows], n))
+    solve = gf_solver(q, rows)
+    for _ in range(3):
+        if data.draw(st.booleans()):
+            target = combine(q, data.draw(st.lists(symbol, min_size=k, max_size=k)), rows)
+        else:
+            target = data.draw(st.lists(symbol, min_size=n, max_size=n))
+        assert solve(target) == _gf_solve_per_entry(q, rows, target)
 
 
 def _records():
