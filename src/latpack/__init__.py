@@ -6,7 +6,7 @@ published density tables with a discrepancy ledger.
 """
 
 from .errors import CapacityError, LatpackError, ParameterError, ParseError, RankError
-from .exactnum import BigRationalSqrt, IntMatrix, binom_sum, gram_det, hnf, is_prime, next_prime
+from .exactnum import IntMatrix, binom_sum, gram_det, hnf, is_prime, next_prime
 from .craig import (
     CraigParams,
     IntegerLattice,

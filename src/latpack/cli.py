@@ -11,34 +11,49 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
 from .errors import CapacityError, LatpackError, ParameterError, ParseError
-from .exactnum import next_prime
+from .exactnum import MAX_LOG2_DIGITS, next_prime
 from . import craig, codes, lift, records, svp
 
 # Published dimension-k claims tracked for comparison in gv reports.
 REFERENCE_GV_CLAIMS = {(4096, 1024): 772}
 
+# The decimal exponent of a rational flag, which Fraction expands to 10^exp.
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
+
 
 def _precision(args) -> int:
-    if args.precision is not None:
-        return args.precision
-    env = os.environ.get("LATPACK_PRECISION")
-    if not env:
-        return 4
-    try:
-        return int(env)
-    except ValueError:
-        raise ParseError(f"LATPACK_PRECISION must be an integer, got {env!r}") from None
+    digits = args.precision
+    if digits is None:
+        env = os.environ.get("LATPACK_PRECISION")
+        if not env:
+            return 4
+        try:
+            digits = int(env)
+        except ValueError:
+            raise ParseError(f"LATPACK_PRECISION must be an integer, got {env!r}") from None
+    if not 1 <= digits <= MAX_LOG2_DIGITS:
+        raise ParseError(f"precision must lie in 1..{MAX_LOG2_DIGITS}, got {digits}")
+    return digits
 
 
 def _rational(text: str, flag: str) -> Fraction:
+    """Parse a rational flag; its exponent and magnitude stay within 10^MAX_LOG2_DIGITS."""
+    exp = _EXPONENT.search(text)
     try:
-        return Fraction(text)
+        exp_ok = exp is None or abs(int(exp.group(1))) <= MAX_LOG2_DIGITS
+        value = Fraction(text) if exp_ok else None
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"{flag} must be a rational number, got {text!r}") from None
+    if value is None:
+        raise ParseError(f"{flag} exponent must lie within +-{MAX_LOG2_DIGITS}, got {text!r}")
+    if abs(value) >= 10**MAX_LOG2_DIGITS:
+        raise ParseError(f"{flag} must be below 10^{MAX_LOG2_DIGITS} in magnitude, got {text!r}")
+    return value
 
 
 def _params(args) -> craig.CraigParams:
@@ -85,6 +100,7 @@ def cmd_density(args, out):
 
 
 def cmd_lift(args, out):
+    digits = _precision(args)
     p = _params(args)
     with open(args.code, errors="replace") as fh:
         code = codes.read_generator(fh)
@@ -95,8 +111,7 @@ def cmd_lift(args, out):
     else:
         raise ParameterError(f"code length {code.n} matches neither n nor n+1")
     out.write(f"code: {result.code}\n")
-    _density_block(out, p, result.code.k, result.density, result.min_norm_guarantee,
-                   _precision(args))
+    _density_block(out, p, result.code.k, result.density, result.min_norm_guarantee, digits)
     if result.lattice is not None:
         out.write(f"constructed basis rank {result.lattice.rank}; "
                   f"vol^2 = {result.lattice.vol_sq}\n")

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, ParameterError
 from .exactnum import (
-    BigRationalSqrt,
     IntMatrix,
-    expand_power_product,
     gram_det,
     is_prime,
     left_solver,
+    log2_fraction,
     log2_of,
     next_prime,
     read_int_rows,
@@ -35,7 +34,6 @@ __all__ = [
     "LogDensity",
     "craig_basis",
     "membership",
-    "center_density_factors",
     "center_density_lb",
     "check_dimension",
     "choose_params",
@@ -80,16 +78,6 @@ class CraigParams:
         if self.l < self.n + 1:
             raise ParameterError(f"l must be >= n+1, got l={self.l} n={self.n}")
 
-    @property
-    def strict_regime(self) -> bool:
-        """m < n/2: the regime in which the 2m norm bound is stated."""
-        return 2 * self.m < self.n
-
-    @property
-    def parity_regime(self) -> bool:
-        """m <= (n+1)/2 but not m < n/2: accepted, flagged (density formula identical)."""
-        return not self.strict_regime
-
     def norm_guarantee(self) -> int:
         """Guaranteed minimum squared norm 2m; requires prime l."""
         if not is_prime(self.l):
@@ -123,19 +111,30 @@ class IntegerLattice:
 
 
 class LogDensity:
-    """Center-density lower bound held exactly as delta^2 (a positive rational)."""
+    """Center-density lower bound held exactly as delta^2 = prod(base^exp).
 
-    __slots__ = ("delta_sq", "provenance")
+    ``pairs`` are (base, exponent) pairs with positive integer bases; they
+    merge into the {base: exponent} map ``factors``, where repeated bases
+    add up and zero exponents and the base 1 are dropped.  Densities are
+    ordered by compare_power_products on their maps.
+    """
 
-    def __init__(self, delta_sq: BigRationalSqrt, provenance: str = "plain"):
-        self.delta_sq = delta_sq
+    __slots__ = ("factors", "provenance")
+
+    def __init__(self, pairs, provenance: str = "plain"):
+        factors: dict[int, int] = {}
+        for base, e in pairs:
+            if not isinstance(base, int) or base <= 0:
+                raise ParameterError(f"density bases must be positive integers, got {base!r}")
+            factors[base] = factors.get(base, 0) + e
+        self.factors = {b: e for b, e in factors.items() if e and b != 1}
         self.provenance = provenance
 
     def log2(self, digits: int = 4) -> str:
-        return log2_of(self.delta_sq, digits)
+        return log2_of(self.factors, digits)
 
     def log2_fraction(self):
-        return self.delta_sq.log2_fraction()
+        return log2_fraction(self.factors)
 
     def __repr__(self) -> str:
         return f"LogDensity(2^{self.log2(4)}, {self.provenance})"
@@ -185,15 +184,6 @@ def membership(p: CraigParams, f) -> bool:
     return True
 
 
-def center_density_factors(p: CraigParams, k: int) -> dict[int, int]:
-    """delta^2 of center_density_lb as {base: exponent}: 2^(2k-n) m^n l^(-2(m-1)) (n+1)^-1."""
-    n, m, l = p.n, p.m, p.l
-    factors: dict[int, int] = {}
-    for base, e in ((2, 2 * k - n), (m, n), (l, -2 * (m - 1)), (n + 1, -1)):
-        factors[base] = factors.get(base, 0) + e
-    return factors
-
-
 def center_density_lb(p: CraigParams, k: int, provenance: str | None = None) -> LogDensity:
     """delta^2 = 2^(2k-n) * m^n / (l^(2(m-1)) * (n+1)), exact.
 
@@ -205,8 +195,8 @@ def center_density_lb(p: CraigParams, k: int, provenance: str | None = None) -> 
         raise ParameterError(f"need 0 <= k <= n = {p.n}, got k={k}")
     if provenance is None:
         provenance = "plain" if k == 0 else "lifted"
-    num, den = expand_power_product(center_density_factors(p, k))
-    return LogDensity(BigRationalSqrt(num, den), provenance)
+    n, m, l = p.n, p.m, p.l
+    return LogDensity(((2, 2 * k - n), (m, n), (l, -2 * (m - 1)), (n + 1, -1)), provenance)
 
 
 def choose_params(n: int) -> CraigParams:
@@ -222,11 +212,9 @@ def choose_params(n: int) -> CraigParams:
 
 def density_floor(n: int) -> LogDensity:
     """Density bound m^(n/2) / (2^(m-1+n/2) n^(m-1) (n+1)^(1/2)) at the chosen m."""
-    p = choose_params(n)
-    m = p.m
-    num = m**n
-    den = (1 << (2 * (m - 1) + n)) * n ** (2 * (m - 1)) * (n + 1)
-    return LogDensity(BigRationalSqrt(num, den), "formula-only")
+    m = choose_params(n).m
+    return LogDensity(((m, n), (2, -2 * (m - 1) - n), (n, -2 * (m - 1)), (n + 1, -1)),
+                      "formula-only")
 
 
 def verify_section(p: CraigParams) -> bool:

@@ -1,10 +1,10 @@
 """Exact arithmetic kernel.
 
 Arbitrary-precision binomial sums, deterministic primality, integer-matrix
-Hermite normal form, fraction-free Gram determinants, base-2 logarithms
-of rationals rendered to a requested number of decimal digits, and the
-exact order of products of integer powers, plus the integer-row text format
-of basis and generator files.  Everything here is
+Hermite normal form, fraction-free Gram determinants, and for products of
+integer powers (every density here is one) their base-2 logarithms rendered
+to a requested number of decimal digits and their exact order, plus the
+integer-row text format of basis and generator files.  Everything here is
 pure integer/rational arithmetic; no floating point enters any certified
 path.
 """
@@ -18,7 +18,6 @@ from .errors import ParameterError, ParseError, RankError
 
 __all__ = [
     "IntMatrix",
-    "BigRationalSqrt",
     "binom_sum",
     "binom_sums",
     "is_prime",
@@ -30,6 +29,7 @@ __all__ = [
     "gram_det",
     "bareiss_det",
     "log2_of",
+    "log2_fraction",
     "compare_power_products",
     "expand_power_product",
     "div_round_half_even",
@@ -38,7 +38,9 @@ __all__ = [
     "write_int_rows",
 ]
 
-LOG2_FRACTION_BITS = 192  # fractional bits of BigRationalSqrt.log2_fraction
+# Fractional bits of log2_fraction, the exact value that table reports and
+# record margins are computed from.
+LOG2_FRACTION_BITS = 192
 
 
 class IntMatrix:
@@ -448,57 +450,29 @@ def format_scaled(scaled: int, digits: int) -> str:
     return f"{sign}{mag // unit}.{mag % unit:0{digits}d}"
 
 
-class BigRationalSqrt:
-    """A positive value stored exactly as the square of a rational.
-
-    Holds delta^2 = num/den in lowest terms; every center density in this
-    package is the square root of a rational, so the exact object is the
-    square and rendering happens in log2 space.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: int, den: int = 1):
-        if num <= 0 or den <= 0:
-            raise ParameterError("BigRationalSqrt requires positive numerator and denominator")
-        g = math.gcd(num, den)
-        self.num = num // g
-        self.den = den // g
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BigRationalSqrt)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __lt__(self, other: "BigRationalSqrt") -> bool:
-        return self.num * other.den < other.num * self.den
-
-    def __repr__(self) -> str:
-        return f"BigRationalSqrt({self.num}/{self.den})"
-
-    def log2_fraction(self) -> Fraction:
-        """(1/2)*log2(num/den) as an exact dyadic approximation."""
-        t = _log2_fixed(self.num, self.den, LOG2_FRACTION_BITS)
-        return Fraction(t, 1 << (LOG2_FRACTION_BITS + 1))
-
-
 # The squaring loop in _log2_fixed is quadratic in the digit count: 1000
 # digits take about 0.05 s, 3000 digits about 0.8 s (2-core x86-64 host).
 MAX_LOG2_DIGITS = 1000
 
 
-def log2_of(v: BigRationalSqrt, digits: int) -> str:
-    """(1/2)*log2(v.num/v.den) to ``digits`` decimals, round half to even."""
+def _log2_product(factors, frac_bits: int) -> int:
+    """_log2_fixed of prod(base^exp) over a {base: exponent} map, expanded once."""
+    return _log2_fixed(*expand_power_product(factors), frac_bits)
+
+
+def log2_fraction(factors) -> Fraction:
+    """(1/2)*log2 of prod(base^exp) as an exact dyadic approximation."""
+    t = _log2_product(factors, LOG2_FRACTION_BITS)
+    return Fraction(t, 1 << (LOG2_FRACTION_BITS + 1))
+
+
+def log2_of(factors, digits: int) -> str:
+    """(1/2)*log2 of prod(base^exp) to ``digits`` decimals, round half to even."""
     if not 1 <= digits <= MAX_LOG2_DIGITS:
         raise ParameterError(f"digits must lie in 1..{MAX_LOG2_DIGITS}, got {digits}")
     # Internal precision: at least 64 decimal digits worth of bits.
     frac_bits = max(256, math.ceil(3.322 * (digits + 24)))
-    t = _log2_fixed(v.num, v.den, frac_bits)
+    t = _log2_product(factors, frac_bits)
     scaled = div_round_half_even(t * 10**digits, 1 << (frac_bits + 1))
     return format_scaled(scaled, digits)
 

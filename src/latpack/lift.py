@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 from .errors import ParameterError
 from .exactnum import (
-    BigRationalSqrt,
     IntMatrix,
     compare_power_products,
     hnf_basis,
@@ -27,7 +26,6 @@ from .craig import (
     CraigParams,
     IntegerLattice,
     LogDensity,
-    center_density_factors,
     center_density_lb,
     check_dimension,
     choose_params,
@@ -217,9 +215,8 @@ def mordell_weil_density(p: int) -> LogDensity:
     """Reference density ((p+1)/12)^(p-1) / p^((p-5)/6) for dimension 2p-2."""
     if not is_prime(p) or p % 6 != 5:
         raise ParameterError("requires a prime p with p = 5 mod 6")
-    num = (p + 1) ** (2 * (p - 1))
-    den = 12 ** (2 * (p - 1)) * p ** ((p - 5) // 3)
-    return LogDensity(BigRationalSqrt(num, den), "formula-only")
+    return LogDensity(((p + 1, 2 * (p - 1)), (12, -2 * (p - 1)), (p, -((p - 5) // 3))),
+                      "formula-only")
 
 
 def mw_beater_search(p: int) -> LiftResult:
@@ -243,7 +240,7 @@ def mw_beater_search(p: int) -> LiftResult:
     params = CraigParams(n, m, l)
     density = center_density_lb(params, k, "lifted")
     mw = mordell_weil_density(p)
-    if not (mw.delta_sq < density.delta_sq):
+    if compare_power_products(mw.factors, density.factors) >= 0:
         raise ParameterError(f"construction does not beat the reference density at p={p}")
     return LiftResult(params, CodeSpec(2, n, k, d, codes.GV_EXISTS), density, 8 * m)
 
@@ -282,10 +279,9 @@ def _candidate_ms(n: int) -> list[int]:
 def sweep_dimension(n: int) -> LiftResult:
     """Best density over a bounded window of m, with k from GV and the code table.
 
-    One walk of binomial row n gives every GV k, candidates are ranked by
-    the exact order of their factored densities, and only the winner's
-    density is expanded.  Deterministic tie-break: higher density, then
-    smaller m.
+    One walk of binomial row n gives every GV k, and candidates are ranked
+    by the exact order of their densities.  Deterministic tie-break: higher
+    density, then smaller m.
     """
     if n < 8:
         raise ParameterError("sweep requires n >= 8")
@@ -295,27 +291,24 @@ def sweep_dimension(n: int) -> LiftResult:
     ms = _candidate_ms(n)
     coded = [m for m in ms if 8 * m <= n]
     gv_k = dict(zip(coded, gv_max_ks(n, [8 * m for m in coded])))
-    best = None  # (params, k, factors)
+    best = None  # (params, k, density)
     for m in ms:
         k = 0
         if m in gv_k:
             k = max(gv_k[m], table.best_k_at_distance(2, n, 8 * m))
         params = CraigParams(n, m, l)
-        factors = center_density_factors(params, k)
-        if best is None or compare_power_products(factors, best[2]) > 0:
-            best = (params, k, factors)
-    params, k, _ = best
+        density = center_density_lb(params, k)
+        if best is None or compare_power_products(density.factors, best[2].factors) > 0:
+            best = (params, k, density)
+    params, k, density = best
     m = params.m
     if k > 0:
-        code = CodeSpec(2, n, k, 8 * m, codes.GV_EXISTS)
-        return LiftResult(params, code, center_density_lb(params, k, "lifted"), 8 * m)
-    return LiftResult(params, None, center_density_lb(params, 0, "plain"), 2 * m)
+        return LiftResult(params, CodeSpec(2, n, k, 8 * m, codes.GV_EXISTS), density, 8 * m)
+    return LiftResult(params, None, density, 2 * m)
 
 
 def construction_a_density(c: CodeSpec) -> LogDensity:
     """Integer vectors congruent mod 2 to codewords: delta = min(sqrt(d), 2)^n / 2^(2n-k)."""
     if c.q != 2:
         raise ParameterError("construction applies to binary codes")
-    num = min(c.d, 4) ** c.n
-    den = 1 << (2 * (2 * c.n - c.k))
-    return LogDensity(BigRationalSqrt(num, den), "formula-only")
+    return LogDensity(((min(c.d, 4), c.n), (2, -2 * (2 * c.n - c.k))), "formula-only")

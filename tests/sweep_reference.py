@@ -1,18 +1,21 @@
 """Reference dimension sweep for the differential tests of `latpack.lift`.
 
 This is the `sweep_dimension` that `latpack.lift` used before it walked the
-binomial row once and ranked candidates by factored densities, copied
-unchanged: it calls `gv_max_k` once per m and compares the expanded
-`BigRationalSqrt` values.  It is a test oracle only.
+binomial row once and ranked candidates by factored densities: it calls
+`gv_max_k` once per m and compares the densities as expanded `Fraction`
+values.  It is copied unchanged but for reading each density's exact value
+from its {base: exponent} map.  It is a test oracle only.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from latpack import codes
 from latpack.codes import CodeSpec, gv_max_k
 from latpack.craig import CraigParams, center_density_lb
 from latpack.errors import ParameterError
-from latpack.exactnum import next_prime
+from latpack.exactnum import expand_power_product, next_prime
 from latpack.lift import LiftResult, _candidate_ms
 
 
@@ -26,6 +29,7 @@ def sweep_dimension(n: int) -> LiftResult:
     table = codes.builtin_code_table()
     l = next_prime(n + 1)
     best: LiftResult | None = None
+    best_value = None
     for m in _candidate_ms(n):
         need = 8 * m
         k = 0
@@ -41,6 +45,7 @@ def sweep_dimension(n: int) -> LiftResult:
             code = None
             guarantee = 2 * m
         cand = LiftResult(params, code, density, guarantee)
-        if best is None or best.density.delta_sq < cand.density.delta_sq:
-            best = cand
+        value = Fraction(*expand_power_product(density.factors))
+        if best is None or best_value < value:
+            best, best_value = cand, value
     return best

@@ -39,6 +39,8 @@ from latpack.lift import (
 from latpack.records import compare, emit_table, table_rows
 from latpack.svp import shortest_vector
 
+from log2_reference import delta_sq
+
 
 def _report(criterion, ok, detail):
     print(f"ACCEPTANCE criterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -256,9 +258,9 @@ def test_criterion_6_mordell_weil_references():
 
 def test_criterion_7_construction_a():
     d = construction_a_density(CodeSpec(2, 8, 4, 4, CONSTRUCTED))
-    assert d.delta_sq.as_fraction() == Fraction(1, 256)  # delta = 1/16
+    assert delta_sq(d) == Fraction(1, 256)  # delta = 1/16
     d = construction_a_density(CodeSpec(2, 4, 1, 4, CONSTRUCTED))
-    assert d.delta_sq.as_fraction() == Fraction(1, 64)  # delta = 1/8
+    assert delta_sq(d) == Fraction(1, 64)  # delta = 1/8
     _report(7, True, "delta([8,4,4]) = 1/16 and delta([4,1,4]) = 1/8, exact")
 
 

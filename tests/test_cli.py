@@ -147,6 +147,20 @@ def test_precision_flag():
     assert "-1.792481" in out
 
 
+def test_invalid_precision_prints_nothing(tmp_path, monkeypatch):
+    gen = tmp_path / "rep.txt"
+    gen.write_text("2 20 1\n" + " ".join(["1"] * 20) + "\n")
+    commands = [["density", "--n", "20"],
+                ["lift", "--n", "20", "--m", "1", "--l", "23", "--code", str(gen)]]
+    for argv in commands:
+        for digits in ("0", "-1", "1001"):
+            assert invoke("--precision", digits, *argv) == (2, ""), (digits, argv)
+        monkeypatch.setenv("LATPACK_PRECISION", "0")
+        assert invoke(*argv) == (2, ""), argv
+        monkeypatch.delenv("LATPACK_PRECISION")
+        assert invoke(*argv)[0] == 0, argv
+
+
 def test_internal_value_error_propagates(monkeypatch):
     def broken(n):
         raise ValueError("internal bug")
@@ -204,6 +218,10 @@ def test_size_inputs_answer_in_bounded_time(tmp_path):
         ["mwbeat", "--p", "2063"],
         ["mwbeat", "--p", huge_prime],
         ["pipeline24", "--dim", "8664"],
+        # Fraction would expand the exponent: 10^40000000 has about 17 MB.
+        ["compare", "--dim", "4096", "--value", "1e40000000"],
+        ["compare", "--dim", "4096", "--value", "1e5000"],
+        ["table", "--id", "1", "--tolerance", "1e40000000"],
     ]
     for argv, want in at_caps:
         assert _exit_code_within(argv) == want, argv

@@ -8,11 +8,11 @@ import pytest
 from latpack.errors import ParameterError, RankError
 from latpack.exactnum import (
     _MR_LIMIT,
-    BigRationalSqrt,
     IntMatrix,
     bareiss_det,
     binom_sum,
     binom_sums,
+    compare_power_products,
     div_round_half_even,
     gram_det,
     hnf,
@@ -23,7 +23,7 @@ from latpack.exactnum import (
     next_prime,
     solve_left,
 )
-from latpack.craig import CraigParams, craig_basis
+from latpack.craig import CraigParams, LogDensity, craig_basis
 from latpack.lift import _lift_generator_rows
 
 import hnf_reference
@@ -282,10 +282,10 @@ def test_left_solver_reused_matches_fresh_calls_and_brute_force():
 
 
 def test_log2_of_examples():
-    assert log2_of(BigRationalSqrt(1, 16), 4) == "-2.0000"
-    assert log2_of(BigRationalSqrt(2, 1), 4) == "0.5000"
+    assert log2_of({2: -4}, 4) == "-2.0000"
+    assert log2_of({2: 1}, 4) == "0.5000"
     # delta^2 for the (52, 6, 53) lattice lifted with k = 1
-    v = BigRationalSqrt(2**2 * 6**52, 2**52 * 53**11)
+    v = LogDensity(((2, 2), (6, 52), (2, -52), (53, -11))).factors
     assert log2_of(v, 3) == "10.705"
     assert log2_of(v, 4) == "10.7055"
 
@@ -298,7 +298,7 @@ def test_log2_of_against_decimal_oracle():
     for _ in range(40):
         num = rng.randrange(1, 10**9)
         den = rng.randrange(1, 10**9)
-        got = Fraction(log2_of(BigRationalSqrt(num, den), 8))
+        got = Fraction(log2_of(LogDensity(((num, 1), (den, -1))).factors, 8))
         want = (Decimal(num).ln() - Decimal(den).ln()) / Decimal(2).ln() / 2
         assert abs(got - Fraction(str(want))) < Fraction(1, 10**7)
 
@@ -309,9 +309,10 @@ def test_log2_monotone_within_ulp():
     for _ in range(60):
         num = rng.randrange(1, 10**6)
         den = rng.randrange(1, 10**6)
-        vals.append(BigRationalSqrt(num, den))
-    vals.sort(key=lambda v: Fraction(v.num, v.den))
-    rendered = [Fraction(log2_of(v, 6)) for v in vals]
+        vals.append((num, den))
+    vals.sort(key=lambda v: Fraction(*v))
+    rendered = [Fraction(log2_of(LogDensity(((num, 1), (den, -1))).factors, 6))
+                for num, den in vals]
     ulp = Fraction(1, 10**6)
     for a, b in zip(rendered, rendered[1:]):
         assert a <= b + ulp
@@ -326,10 +327,13 @@ def test_div_round_half_even():
     assert div_round_half_even(-10, 4) == -2  # -2.5 -> -2
 
 
-def test_big_rational_sqrt_normalizes():
-    v = BigRationalSqrt(6, 4)
-    assert (v.num, v.den) == (3, 2)
-    with pytest.raises(ParameterError):
-        BigRationalSqrt(0, 1)
-    with pytest.raises(ParameterError):
-        BigRationalSqrt(1, 0)
+def test_log_density_merges_factors():
+    # Repeated bases add up; zero exponents and the base 1 drop out.
+    v = LogDensity(((6, 1), (4, -1), (2, 1), (2, -1), (1, 5), (7, 0)))
+    assert v.factors == {6: 1, 4: -1}
+    assert compare_power_products(v.factors, {3: 1, 2: -1}) == 0  # 6/4 = 3/2
+    # A zero numerator or denominator is the base 0; any non-positive or
+    # non-integer base is rejected.
+    for base, e in ((0, 1), (0, -1), (0, 0), (-3, 2), (2.0, 1), (Fraction(3, 2), 1)):
+        with pytest.raises(ParameterError):
+            LogDensity(((2, 1), (base, e)))

@@ -30,6 +30,7 @@ from latpack.records import table_rows
 from latpack.svp import shortest_vector
 
 import sweep_reference
+from log2_reference import delta_sq
 
 
 def even_code(rows, n, d):
@@ -103,7 +104,7 @@ def test_lift_density_consistency_invariant():
     rows = [[1] * 8 + [0] * 4, [0] * 4 + [1] * 8]
     code = even_code(rows, 12, 8)
     r = lift_sublattice(p, code)
-    lhs = r.density.delta_sq.as_fraction()
+    lhs = delta_sq(r.density)
     rhs = Fraction(8 * p.m, 4) ** p.n / r.lattice.vol_sq
     assert lhs == rhs
 
@@ -202,7 +203,7 @@ def test_mw_beater_search():
     assert r.params.l == 3343
     assert r.code.k == gv_max_k(3332, 833) == 636
     mw = mordell_weil_density(1667)
-    assert mw.delta_sq < r.density.delta_sq
+    assert delta_sq(mw) < delta_sq(r.density)
     # beats the published record value as well
     assert r.density.log2_fraction() > Fraction("8897.0184")
 
@@ -244,14 +245,14 @@ def test_sweep_dimension():
     r = sweep_dimension(193)
     assert abs(r.density.log2_fraction() - Fraction("173.5188")) < 1
     r = sweep_dimension(8)
-    assert r.density.delta_sq.as_fraction() > 0
+    assert delta_sq(r.density) > 0
     assert r.min_norm_guarantee in (2 * r.params.m, 8 * r.params.m)
     with pytest.raises(ParameterError):
         sweep_dimension(7)
 
 
 def _sweep_fields(r):
-    return r.params, r.code, r.density.delta_sq, r.density.provenance, r.min_norm_guarantee
+    return r.params, r.code, r.density.factors, r.density.provenance, r.min_norm_guarantee
 
 
 def test_sweep_matches_reference():
@@ -270,7 +271,7 @@ def test_sweep_deterministic():
 
 
 def test_mordell_weil_density():
-    assert mordell_weil_density(11).delta_sq.as_fraction() == Fraction(1, 121)
+    assert delta_sq(mordell_weil_density(11)) == Fraction(1, 121)
     assert mordell_weil_density(53).log2(4) == "67.0127"
     assert mordell_weil_density(2063).log2(4) == "11536.3468"
     with pytest.raises(ParameterError):
@@ -280,12 +281,10 @@ def test_mordell_weil_density():
 
 
 def test_construction_a_density():
-    assert construction_a_density(CodeSpec(2, 8, 4, 4, CONSTRUCTED)).delta_sq.as_fraction() \
-        == Fraction(1, 256)
-    assert construction_a_density(CodeSpec(2, 4, 1, 4, CONSTRUCTED)).delta_sq.as_fraction() \
-        == Fraction(1, 64)
+    assert delta_sq(construction_a_density(CodeSpec(2, 8, 4, 4, CONSTRUCTED))) == Fraction(1, 256)
+    assert delta_sq(construction_a_density(CodeSpec(2, 4, 1, 4, CONSTRUCTED))) == Fraction(1, 64)
     for n in (3, 6, 10):
         d = construction_a_density(CodeSpec(2, n, n, 1, CONSTRUCTED))
-        assert d.delta_sq.as_fraction() == Fraction(1, 4**n)  # delta = 2^-n
+        assert delta_sq(d) == Fraction(1, 4**n)  # delta = 2^-n
     with pytest.raises(ParameterError):
         construction_a_density(CodeSpec(4, 8, 4, 4, "table-known"))

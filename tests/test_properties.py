@@ -7,7 +7,9 @@ independent oracle (Gram determinants, brute-force spans, the polynomial
 membership criterion, `decimal` formatting, a `binom_sum` scan).  The
 table-driven GF(q) elimination is also checked against one that calls
 `gf_mul` for every entry.  The binomial prefix walk and the exact
-power-product order are checked against `math.comb` and `Fraction`.
+power-product order are checked against `math.comb` and `Fraction`, and
+the rendering of a density's {base: exponent} map against the lowest-terms
+rational rendering it replaced (`tests/log2_reference.py`).
 """
 
 import itertools
@@ -16,6 +18,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from latpack import exactnum
@@ -29,10 +32,10 @@ from latpack.codes import (
     gv_max_k,
     gv_max_ks,
 )
-from latpack.craig import CraigParams, craig_basis, membership
-from latpack.errors import RankError
+from latpack.craig import CraigParams, LogDensity, craig_basis, membership
+from latpack.errors import ParameterError, RankError
 from latpack.exactnum import (
-    BigRationalSqrt,
+    LOG2_FRACTION_BITS,
     IntMatrix,
     _log2_fixed,
     bareiss_det,
@@ -47,6 +50,8 @@ from latpack.exactnum import (
     solve_left,
 )
 from latpack.records import RecordEntry, RecordTable, compare
+
+import log2_reference
 
 settings.register_profile("latpack", max_examples=150, deadline=None)
 settings.load_profile("latpack")
@@ -243,10 +248,11 @@ positive = st.integers(1, 10**40)
 
 @given(positive, positive, positive, positive, st.booleans(), st.integers(1, 12))
 def test_log2_of_is_monotone(a, b, c, d, near, digits):
-    x = BigRationalSqrt(a, b)
+    x = LogDensity(((a, 1), (b, -1))).factors
     # a neighbour within c parts in 10^50 of x, or an unrelated value
-    y = BigRationalSqrt(a * 10**50 + c, b * 10**50) if near else BigRationalSqrt(c, d)
-    if y < x:
+    y = LogDensity(((a * 10**50 + c, 1), (b, -1), (10, -50)) if near else ((c, 1), (d, -1)))
+    y = y.factors
+    if compare_power_products(y, x) < 0:
         x, y = y, x
     assert Fraction(log2_of(x, digits)) <= Fraction(log2_of(y, digits))
 
@@ -261,7 +267,7 @@ def test_log2_of_rounds_ties_to_even(j, digits):
 
     exact = Fraction(2 * j + 1, 2 ** (digits + 1))
     with mock.patch.object(exactnum, "_log2_fixed", tie):
-        got = log2_of(BigRationalSqrt(3, 1), digits)
+        got = log2_of({3: 1}, digits)
     want = Decimal(exact.numerator) / Decimal(exact.denominator)
     assert got == str(want.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_EVEN))
     # the rendering is one of the two neighbours, and its last digit is even
@@ -353,3 +359,39 @@ def test_compare_power_products_examples():
     assert compare_power_products({2**64 + 1: 1}, {2: 64}) == 1
     assert compare_power_products({3: 1000}, {2: 1585}) == -1  # 1000 log2 3 = 1584.96
     assert compare_power_products({2: -3}, {}) == -1
+
+
+# (base, exponent) pairs as the density formulas write them: bases up to 10^6,
+# often repeated (a small pool), exponents -300..300.
+density_pairs = st.lists(
+    st.tuples(st.one_of(st.integers(1, 10**6), st.sampled_from([1, 2, 3, 4, 6, 12])),
+              st.integers(-300, 300)),
+    max_size=6,
+)
+
+
+@given(density_pairs)
+def test_log_density_renders_as_lowest_terms_oracle(pairs):
+    d = LogDensity(pairs)
+    assert _product(d.factors) == math.prod(Fraction(b) ** e for b, e in pairs)
+    old = log2_reference.expanded(d.factors)
+    for digits in range(1, 13):
+        assert d.log2(digits) == log2_reference.log2_of(old, digits)
+    # The unreduced expansion can change the last mantissa bit of _log2_fixed,
+    # so the 192-bit values may differ by one unit; both lie within the
+    # kernel's bound of the same logarithm.
+    unit = Fraction(1, 1 << (LOG2_FRACTION_BITS + 1))
+    assert abs(d.log2_fraction() - old.log2_fraction()) <= unit
+
+
+@given(density_pairs, density_pairs)
+def test_density_order_matches_expanded_fractions(a, b):
+    x, y = LogDensity(a), LogDensity(b)
+    want = _order(log2_reference.delta_sq(x), log2_reference.delta_sq(y))
+    assert compare_power_products(x.factors, y.factors) == want
+
+
+@given(density_pairs, st.integers(-10**6, 0), st.integers(-300, 300))
+def test_log_density_rejects_nonpositive_bases(pairs, base, e):
+    with pytest.raises(ParameterError):
+        LogDensity([*pairs, (base, e)])
