@@ -25,9 +25,24 @@ REFERENCE_GV_CLAIMS = {(4096, 1024): 772}
 # The decimal exponent of a rational flag, which Fraction expands to 10^exp.
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
 
+# Rational flags whose value may be a negative number that argparse takes for
+# an option: its negative-number pattern covers -5 and -.5 but not -1e999.
+_RATIONAL_FLAGS = ("--value", "--tolerance")
 
-def _precision(args) -> int:
-    digits = args.precision
+
+def _join_rational_values(argv) -> list[str]:
+    """Write ``--value -1e999`` as ``--value=-1e999``, which argparse reads as a value."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in _RATIONAL_FLAGS and token.startswith("-"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
+def _precision(digits: int | None) -> int:
+    """The --precision flag, else LATPACK_PRECISION, else 4, within 1..MAX_LOG2_DIGITS."""
     if digits is None:
         env = os.environ.get("LATPACK_PRECISION")
         if not env:
@@ -96,11 +111,10 @@ def cmd_density(args, out):
     guarantee = p.norm_guarantee()  # 2m, which needs a prime l
     if k:
         guarantee *= 4  # the lifted code's distance 8m
-    _density_block(out, p, k, density, guarantee, _precision(args))
+    _density_block(out, p, k, density, guarantee, args.precision)
 
 
 def cmd_lift(args, out):
-    digits = _precision(args)
     p = _params(args)
     with open(args.code, errors="replace") as fh:
         code = codes.read_generator(fh)
@@ -111,7 +125,8 @@ def cmd_lift(args, out):
     else:
         raise ParameterError(f"code length {code.n} matches neither n nor n+1")
     out.write(f"code: {result.code}\n")
-    _density_block(out, p, result.code.k, result.density, result.min_norm_guarantee, digits)
+    _density_block(out, p, result.code.k, result.density, result.min_norm_guarantee,
+                   args.precision)
     if result.lattice is not None:
         out.write(f"constructed basis rank {result.lattice.rank}; "
                   f"vol^2 = {result.lattice.vol_sq}\n")
@@ -152,32 +167,30 @@ def cmd_sweep(args, out):
     result = lift.sweep_dimension(args.n)
     k = result.code.k if result.code else 0
     _density_block(out, result.params, k, result.density, result.min_norm_guarantee,
-                   _precision(args))
+                   args.precision)
 
 
 def cmd_mwbeat(args, out):
     result = lift.mw_beater_search(args.p)
     mw = lift.mordell_weil_density(args.p)
-    digits = _precision(args)
     out.write(f"dimension {result.params.n}: code {result.code}\n")
     _density_block(out, result.params, result.code.k, result.density,
-                   result.min_norm_guarantee, digits)
-    out.write(f"reference density (formula): {mw.log2(digits)}\n")
+                   result.min_norm_guarantee, args.precision)
+    out.write(f"reference density (formula): {mw.log2(args.precision)}\n")
 
 
 def cmd_pipeline24(args, out):
     result = lift.pipeline_24n(args.dim)
     _density_block(out, result.params, result.code.k, result.density,
-                   result.min_norm_guarantee, _precision(args))
+                   result.min_norm_guarantee, args.precision)
 
 
 def cmd_conditional(args, out):
     p = craig.CraigParams(args.n, args.m, args.l)
     required = codes.CodeSpec(2, args.req_n, args.req_k, args.req_d, codes.HYPOTHETICAL)
     verdict = lift.conditional_eval(p, required)
-    digits = _precision(args)
     out.write(f"required code: {required}\n")
-    out.write(f"achieved log2 density: {verdict.achieved_density.log2(digits)}\n")
+    out.write(f"achieved log2 density: {verdict.achieved_density.log2(args.precision)}\n")
     out.write(f"status: {verdict.status}\n")
     rec = records.builtin_records().best_record(args.n)
     if rec is not None:
@@ -235,12 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None, out=None) -> int:
     out = out or sys.stdout
+    argv = _join_rational_values(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        args.precision = _precision(args.precision)
         args.fn(args, out)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

@@ -1,12 +1,12 @@
 """Exact arithmetic kernel.
 
 Arbitrary-precision binomial sums, deterministic primality, integer-matrix
-Hermite normal form, fraction-free Gram determinants, and for products of
-integer powers (every density here is one) their base-2 logarithms rendered
-to a requested number of decimal digits and their exact order, plus the
-integer-row text format of basis and generator files.  Everything here is
-pure integer/rational arithmetic; no floating point enters any certified
-path.
+Hermite normal form, the integral Gram-Schmidt step behind Gram determinants
+and LLL, and for products of integer powers (every density here is one)
+their base-2 logarithms rendered to a requested number of decimal digits
+and their exact order, plus the integer-row text format of basis and
+generator files.  Everything here is pure integer/rational arithmetic; no
+floating point enters any certified path.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ __all__ = [
     "hnf_basis",
     "left_solver",
     "solve_left",
+    "gso_extend",
     "gram_det",
-    "bareiss_det",
     "log2_of",
     "log2_fraction",
     "compare_power_products",
@@ -315,33 +315,35 @@ def solve_left(B: IntMatrix, v) -> list[int] | None:
     return left_solver(B)(v)
 
 
-def bareiss_det(G) -> int:
-    """Exact determinant of a square integer matrix (fraction-free elimination)."""
-    a = [list(r) for r in G]
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ParameterError("bareiss_det requires a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def gso_extend(rows, d, lam) -> bool:
+    """Append the integral Gram-Schmidt data of row k = len(lam) of ``rows``.
+
+    ``d[i]`` is the Gram determinant of the first i rows (``d[0] = 1``) and
+    ``lam[i][j] = d[j+1] * mu[i][j]`` for j < i, all integers (Cohen, GTM 138,
+    Alg. 2.6.7).  Given that data for rows 0..k-1, appends ``lam[k]`` and
+    ``d[k+1]`` and returns True; returns False, appending nothing, when row k
+    depends on the rows before it.
+    """
+    k = len(lam)
+    lam_k: list[int] = []
+    for j in range(k + 1):
+        lam_j = lam[j] if j < k else lam_k
+        u = sum(a * b for a, b in zip(rows[k], rows[j]))
+        for i in range(j):
+            u = (d[i + 1] * u - lam_k[i] * lam_j[i]) // d[i]
+        lam_k.append(u)
+    d_k = lam_k.pop()
+    if d_k == 0:
+        return False
+    d.append(d_k)
+    lam.append(lam_k)
+    return True
 
 
 def gram_det(B: IntMatrix) -> int:
     """det(B * B^T), exact; 0 when the rows are dependent (degenerate)."""
-    gram = [[sum(x * y for x, y in zip(B.m[i], row)) for row in B.m] for i in range(B.rows)]
-    return bareiss_det(gram)
+    d, lam = [1], []
+    return d[-1] if all(gso_extend(B.m, d, lam) for _ in range(B.rows)) else 0
 
 
 def _log2_fixed(num: int, den: int, frac_bits: int) -> int:

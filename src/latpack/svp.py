@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import CapacityError, ParameterError, RankError
 from .craig import IntegerLattice
-from .exactnum import IntMatrix, div_round_half_even
+from .exactnum import IntMatrix, div_round_half_even, gso_extend
 
 __all__ = ["ReducedBasis", "Certificate", "lll_reduce", "shortest_vector", "verify_min_norm"]
 
@@ -57,10 +57,6 @@ class Certificate:
     nodes: int = 0  # enumeration nodes visited
 
 
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
 def _basis_rows(lattice) -> list[list[int]]:
     """Copy of the basis rows of an IntegerLattice, an IntMatrix or a list of rows."""
     if isinstance(lattice, IntegerLattice):
@@ -73,9 +69,9 @@ def _basis_rows(lattice) -> list[list[int]]:
 def lll_reduce(lattice, quality: Fraction = Fraction(99, 100)) -> ReducedBasis:
     """LLL-reduce a basis with integral Gram-Schmidt data (Cohen, Alg. 2.6.7).
 
-    Row k's data is computed the first time k reaches it and is updated in
-    place on every size reduction and swap.  b_k is size-reduced against
-    b_{k-1}, ..., b_0 before the Lovasz test.
+    Row k's data is appended by ``exactnum.gso_extend`` the first time k
+    reaches it and is updated in place on every size reduction and swap.
+    b_k is size-reduced against b_{k-1}, ..., b_0 before the Lovasz test.
     """
     basis = _basis_rows(lattice)
     quality = Fraction(quality)
@@ -86,27 +82,12 @@ def lll_reduce(lattice, quality: Fraction = Fraction(99, 100)) -> ReducedBasis:
     d = [1]
     lam: list[list[int]] = []
 
-    def add_row(k: int) -> None:
-        lam_k: list[int] = []
-        for j in range(k + 1):
-            lam_j = lam[j] if j < k else lam_k
-            u = _dot(basis[k], basis[j])
-            for i in range(j):
-                u = (d[i + 1] * u - lam_k[i] * lam_j[i]) // d[i]
-            if j < k:
-                lam_k.append(u)
-            elif u == 0:
-                raise RankError("dependent rows in basis")
-            else:
-                d.append(u)
-        lam.append(lam_k)
-
-    if r:
-        add_row(0)
+    if r and not gso_extend(basis, d, lam):
+        raise RankError("dependent rows in basis")
     k = 1
     while k < r:
-        if k == len(lam):
-            add_row(k)
+        if k == len(lam) and not gso_extend(basis, d, lam):
+            raise RankError("dependent rows in basis")
         lam_k = lam[k]
         for j in range(k - 1, -1, -1):
             if 2 * abs(lam_k[j]) > d[j + 1]:
@@ -154,7 +135,7 @@ def shortest_vector(lattice, stats: dict | None = None):
     scale_all = math.lcm(*dens)
     scale = [scale_all // den for den in dens]
 
-    norms = [_dot(row, row) for row in rows]
+    norms = [sum(x * x for x in row) for row in rows]
     shortest_row = min(norms)
     best = shortest_row * scale_all
     best_x = [0] * r

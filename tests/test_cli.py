@@ -150,8 +150,21 @@ def test_precision_flag():
 def test_invalid_precision_prints_nothing(tmp_path, monkeypatch):
     gen = tmp_path / "rep.txt"
     gen.write_text("2 20 1\n" + " ".join(["1"] * 20) + "\n")
-    commands = [["density", "--n", "20"],
-                ["lift", "--n", "20", "--m", "1", "--l", "23", "--code", str(gen)]]
+    basis = tmp_path / "basis.txt"
+    assert invoke("construct", "--n", "6", "--m", "2", "--l", "7", "--out", str(basis))[0] == 0
+    # Every subcommand, including those that print no logarithm.
+    commands = [["construct", "--n", "20"],
+                ["density", "--n", "20"],
+                ["lift", "--n", "20", "--m", "1", "--l", "23", "--code", str(gen)],
+                ["gv", "--n", "100", "--d", "10"],
+                ["verify", "--basis", str(basis), "--bound", "4"],
+                ["table", "--id", "1"],
+                ["sweep", "--n", "100"],
+                ["mwbeat", "--p", "1667"],
+                ["pipeline24", "--dim", "4104"],
+                ["conditional", "--n", "20", "--m", "1", "--l", "23",
+                 "--req-n", "20", "--req-k", "20", "--req-d", "8"],
+                ["compare", "--dim", "4096", "--value", "11529"]]
     for argv in commands:
         for digits in ("0", "-1", "1001"):
             assert invoke("--precision", digits, *argv) == (2, ""), (digits, argv)
@@ -159,6 +172,16 @@ def test_invalid_precision_prints_nothing(tmp_path, monkeypatch):
         assert invoke(*argv) == (2, ""), argv
         monkeypatch.delenv("LATPACK_PRECISION")
         assert invoke(*argv)[0] == 0, argv
+
+
+def test_negative_rational_flag_with_exponent(capsys):
+    # argparse takes -1e999 for an option unless it is joined to its flag.
+    code, out = invoke("compare", "--dim", "4096", "--value", "-1e999")
+    assert code == 0 and "candidate -1e999: below by" in out
+    assert invoke("compare", "--dim", "4096", "--value=-1e999") == (code, out)
+    capsys.readouterr()
+    assert invoke("table", "--id", "1", "--tolerance", "-1e-3") == (2, "")
+    assert "--tolerance must be >= 0, got -1e-3" in capsys.readouterr().err
 
 
 def test_internal_value_error_propagates(monkeypatch):

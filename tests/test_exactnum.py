@@ -9,7 +9,6 @@ from latpack.errors import ParameterError, RankError
 from latpack.exactnum import (
     _MR_LIMIT,
     IntMatrix,
-    bareiss_det,
     binom_sum,
     binom_sums,
     compare_power_products,
@@ -135,7 +134,7 @@ def test_hnf_transform_invariants():
         except RankError:
             continue
         assert U.matmul(M) == H
-        assert abs(bareiss_det(U.m)) == 1
+        assert gram_det(U) == 1
         # Row spaces agree: HNF of H equals H itself, and equals HNF of M.
         assert hnf_basis(M).m == [r for r in H.m if any(r)]
 

@@ -9,7 +9,9 @@ table-driven GF(q) elimination is also checked against one that calls
 `gf_mul` for every entry.  The binomial prefix walk and the exact
 power-product order are checked against `math.comb` and `Fraction`, and
 the rendering of a density's {base: exponent} map against the lowest-terms
-rational rendering it replaced (`tests/log2_reference.py`).
+rational rendering it replaced (`tests/log2_reference.py`).  The integral
+Gram-Schmidt step that `gram_det` shares with LLL is checked against the
+Bareiss determinant of the Gram matrix it replaced (`tests/gram_reference.py`).
 """
 
 import itertools
@@ -38,7 +40,6 @@ from latpack.exactnum import (
     LOG2_FRACTION_BITS,
     IntMatrix,
     _log2_fixed,
-    bareiss_det,
     binom_sum,
     binom_sums,
     compare_power_products,
@@ -51,6 +52,7 @@ from latpack.exactnum import (
 )
 from latpack.records import RecordEntry, RecordTable, compare
 
+import gram_reference
 import log2_reference
 
 settings.register_profile("latpack", max_examples=150, deadline=None)
@@ -93,9 +95,32 @@ def test_hnf_transform_and_form(M):
         assert gram_det(M) == 0
         return
     assert U.matmul(M) == H
-    assert abs(bareiss_det(U.m)) == 1
+    assert gram_det(U) == 1
     assert is_hermite(H.m)
     assert hnf_basis(M) == H
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Up to 6 rows of up to 6 columns, so often more rows than columns, with
+    some rows zero or a combination of the rows before them."""
+    cols = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([0] * cols)
+        elif kind == "combination" and rows:
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(cols)])
+        else:
+            rows.append(draw(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols)))
+    return IntMatrix(rows)
+
+
+@given(st.one_of(int_matrices(), degenerate_matrices()))
+def test_gram_det_matches_bareiss_reference(M):
+    assert gram_det(M) == gram_reference.gram_det(M)
 
 
 @given(int_matrices(), st.lists(st.integers(-3, 3), min_size=8, max_size=8))

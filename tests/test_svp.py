@@ -67,6 +67,17 @@ def test_lll_preserves_gram_det():
     assert gram_det(red.basis) == 343  # 7^2 * 7
 
 
+def test_lll_rejects_dependent_row_after_the_first():
+    # Row 2 = row 0 + row 1, reached only after rows 0 and 1 are reduced.
+    with pytest.raises(RankError):
+        lll_reduce([[1, 2, 3], [0, 1, 1], [1, 3, 4]])
+    # A zero row and more rows than columns.
+    with pytest.raises(RankError):
+        lll_reduce([[3, 1], [0, 0]])
+    with pytest.raises(RankError):
+        lll_reduce([[1, 0], [0, 1], [5, 7]])
+
+
 def test_lll_lovasz_condition_holds():
     # after size reduction |mu| <= 1/2, so B_i >= (quality - 1/4) B_{i-1}
     rng = random.Random(9)
