@@ -43,7 +43,7 @@ __all__ = [
     "read_basis",
 ]
 
-SECTION_RANK_CAP = 128
+SECTION_RANK_CAP = 512
 # Largest n and l accepted.  They bound the exact integers of a density
 # (m^n and l^(2(m-1)) have at most about n * log2(l) bits), so every
 # subcommand answers in seconds; the published tables stop at n = 16380.
@@ -98,7 +98,11 @@ class IntegerLattice:
 
     @property
     def vol_sq(self) -> int:
-        """Gram determinant det(B B^T), computed once and cached."""
+        """Gram determinant det(B B^T), computed once and cached.
+
+        gram_det takes it from the pivots of the short Craig basis and of a
+        lifted (HNF) basis, both echelon in sum(x) = 0.
+        """
         if self._vol_sq is None:
             d = gram_det(self.basis)
             if d == 0:
@@ -221,8 +225,10 @@ def verify_section(p: CraigParams) -> bool:
     """Check that A(n, m, l) is the section of A(l-1, m, l) on the first n+1 coords.
 
     Every basis vector, zero-padded to length l, must solve integrally in the
-    big lattice (one HNF of the big basis serves every row), and the volume
-    formulas must stand in the ratio l : n+1.
+    big lattice, and the volumes must stand in the ratio l : n+1.  Both
+    short bases are echelon in sum(x) = 0, so each row solves by one
+    back-substitution along the big basis's pivots and each volume is a
+    pivot product.
     """
     if not is_prime(p.l):
         raise ParameterError("verify_section requires a prime l")

@@ -1,12 +1,13 @@
 """Exact arithmetic kernel.
 
 Arbitrary-precision binomial sums, deterministic primality, integer-matrix
-Hermite normal form, the integral Gram-Schmidt step behind Gram determinants
-and LLL, and for products of integer powers (every density here is one)
-their base-2 logarithms rendered to a requested number of decimal digits
-and their exact order, plus the integer-row text format of basis and
-generator files.  Everything here is pure integer/rational arithmetic; no
-floating point enters any certified path.
+Hermite normal form, back-substitution and pivot volumes for echelon bases,
+the integral Gram-Schmidt step behind other Gram determinants and LLL, and
+for products of integer powers (every density here is one) their base-2
+logarithms rendered to a requested number of decimal digits and their exact
+order, plus the integer-row text format of basis and generator files.
+Everything here is pure integer/rational arithmetic; no floating point
+enters any certified path.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "next_prime",
     "hnf",
     "hnf_basis",
+    "echelon_pivots",
     "left_solver",
     "solve_left",
     "gso_extend",
@@ -102,7 +104,8 @@ def read_int_rows(fh, what: str, header: str) -> tuple[list[int], list[list[int]
     """Read a header line of integers named by ``header``, then its rows of integers.
 
     The last two header fields are the row width and the row count.  A short
-    file, a wrong field count or a non-integer token raises ParseError.
+    file, a wrong field count, a non-integer token or a non-blank line after
+    the declared rows raises ParseError.
     """
     fields = fh.readline().split()
     if len(fields) != len(header.split()):
@@ -116,6 +119,9 @@ def read_int_rows(fh, what: str, header: str) -> tuple[list[int], list[list[int]
         if not line or len(parts) != width:
             raise ParseError(f"{what} row {i + 1} must have {width} entries")
         rows.append(_int_tokens(parts, what, i + 2))
+    for i, line in enumerate(fh, count + 2):
+        if line.strip():
+            raise ParseError(f"{what} file line {i}: more rows than the header's {count}")
     return head, rows
 
 
@@ -280,31 +286,66 @@ def hnf_basis(M: IntMatrix) -> IntMatrix:
     return IntMatrix(mat[: len(pivots)])
 
 
+def echelon_pivots(rows) -> tuple[list[int], list[int]] | None:
+    """Row order and pivot columns of an echelon basis, or None.
+
+    A row's pivot is its last nonzero column when those are pairwise
+    distinct (the short Craig basis), else its first nonzero column when
+    those are (HNF output, lifted lattices).  Listed in the returned order,
+    each row is zero at the pivot columns of the rows before it, so the rows
+    are independent.  None when a row is zero or neither set is distinct.
+    """
+    ends = []
+    for row in rows:
+        nz = [c for c, a in enumerate(row) if a]
+        if not nz:
+            return None
+        ends.append((nz[-1], nz[0]))
+    for side, latest_first in ((0, True), (1, False)):
+        cols = [e[side] for e in ends]
+        if len(set(cols)) == len(cols):
+            order = sorted(range(len(cols)), key=cols.__getitem__, reverse=latest_first)
+            return order, [cols[i] for i in order]
+    return None
+
+
 def left_solver(B: IntMatrix):
     """Factor B once; return a function v -> integer x with x*B = v, or None.
 
-    The HNF (H, U) of B is computed here, so each call of the returned
-    function costs one back-substitution along H's pivots and one product
-    with U.  Neither is modified by a call.  Raises RankError when the rows
-    of B are dependent.
+    An echelon B (see echelon_pivots) is its own factor: each call
+    back-substitutes along B's pivots, and x is the quotients.  Any other B
+    is replaced by its HNF (H, U), so a call back-substitutes along H and
+    multiplies the quotients by U.  The solution of a full-row-rank B is
+    unique, so both give the same x.  Nothing is modified by a call.  Raises
+    RankError when the rows of B are dependent.
     """
-    H, U = hnf(B)
-    pivots = [next(c for c, a in enumerate(row) if a) for row in H.m]
+    rows, U = B.m, None
+    found = echelon_pivots(rows)
+    if found is None:
+        H, U = hnf(B)
+        rows = H.m
+        found = echelon_pivots(rows)
 
     def solve(v) -> list[int] | None:
         if len(v) != B.cols:
             raise ParameterError("vector length does not match matrix columns")
         residual = list(v)
-        x = [0] * U.cols
-        for hrow, urow, pc in zip(H.m, U.m, pivots):
-            q, r = divmod(residual[pc], hrow[pc])
+        q = [0] * len(rows)
+        for i, pc in zip(*found):
+            qi, r = divmod(residual[pc], rows[i][pc])
             if r != 0:
                 return None
-            if q:
-                residual = [a - q * b for a, b in zip(residual, hrow)]
-                x = [a + q * b for a, b in zip(x, urow)]
+            if qi:
+                residual = [a - qi * b for a, b in zip(residual, rows[i])]
+                q[i] = qi
         if any(residual):
             return None
+        if U is None:
+            return q
+        x = [0] * U.cols
+        for qi, urow in zip(q, U.m):
+            if qi:
+                x = [a + qi * b for a, b in zip(x, urow)]
         return x
 
     return solve
@@ -341,7 +382,24 @@ def gso_extend(rows, d, lam) -> bool:
 
 
 def gram_det(B: IntMatrix) -> int:
-    """det(B * B^T), exact; 0 when the rows are dependent (degenerate)."""
+    """det(B * B^T), exact; 0 when the rows are dependent (degenerate).
+
+    A rank N-1 echelon basis in Z^N whose rows all sum to 0, as every
+    lattice in the hyperplane sum(x) = 0 built here is, takes it from its
+    pivots: det(B B^T) = N * (product of the pivot entries)^2.  By
+    Cauchy-Binet it is the sum of the squared maximal minors.  Their signed
+    vector is orthogonal to every row, so parallel to (1, ..., 1), and all N
+    minors share one absolute value; the minor without the non-pivot column
+    is triangular with the pivot entries on its diagonal.  Any other basis
+    runs gso_extend over its rows.
+    """
+    if B.rows == B.cols - 1 and not any(sum(row) for row in B.m):
+        found = echelon_pivots(B.m)
+        if found is not None:
+            det = 1
+            for i, pc in zip(*found):
+                det *= B.m[i][pc]
+            return B.cols * det * det
     d, lam = [1], []
     return d[-1] if all(gso_extend(B.m, d, lam) for _ in range(B.rows)) else 0
 

@@ -63,6 +63,21 @@ def test_lift_subcommand(tmp_path):
     assert "k=1" in out and "constructed basis rank 12" in out
 
 
+def test_rows_past_the_header_count_exit_2(tmp_path):
+    # The header declares two rows; a third would be left out of the
+    # certificate, so the file is rejected rather than half read.
+    basis = tmp_path / "basis.txt"
+    basis.write_text("3 2\n-1 1 0\n0 -1 1\n1 0 -1\n")
+    assert invoke("verify", "--basis", str(basis), "--bound", "2") == (2, "")
+    basis.write_text("3 2\n-1 1 0\n0 -1 1\n\n  \n")  # trailing blank lines are fine
+    code, out = invoke("verify", "--basis", str(basis), "--bound", "2")
+    assert code == 0 and "holds" in out
+    gen = tmp_path / "rep.txt"
+    extra = " ".join(["1", "1"] + ["0"] * 10)
+    gen.write_text("2 12 1\n" + " ".join(["1"] * 12) + "\n" + extra + "\n")
+    assert invoke("lift", "--n", "12", "--m", "1", "--l", "13", "--code", str(gen)) == (2, "")
+
+
 def test_exit_codes(tmp_path, monkeypatch):
     assert run(["nosuchcommand"], io.StringIO()) == 2
     assert run(["density", "--n", "4", "--m", "9", "--l", "5"], io.StringIO()) == 2

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from latpack import exactnum
+from latpack.codes import repetition
 from latpack.errors import CapacityError, ParameterError, ParseError
 from latpack.exactnum import IntMatrix, gram_det, hnf_basis, next_prime, solve_left
 from latpack.craig import (
@@ -20,6 +22,7 @@ from latpack.craig import (
     verify_section,
     write_basis,
 )
+from latpack.lift import lift_sublattice
 from latpack.svp import shortest_vector
 
 from craig_reference import binomial_craig_rows, binomial_row
@@ -192,9 +195,33 @@ def test_verify_section():
     assert verify_section(CraigParams(4, 2, 7))
     assert verify_section(CraigParams(6, 2, 7))  # degenerate: section is everything
     assert verify_section(CraigParams(4, 2, 11))
-    assert verify_section(CraigParams(125, 5, 127))  # rank 126 under the cap of 128
+    assert verify_section(CraigParams(125, 5, 127))
+    assert verify_section(CraigParams(508, 254, 509))  # rank 508 under the cap of 512
     with pytest.raises(CapacityError):
-        verify_section(CraigParams(4, 2, 211))
+        verify_section(CraigParams(4, 2, 521))
+
+
+def test_craig_and_lifted_bases_skip_hnf_and_gram_schmidt(monkeypatch):
+    # The short Craig basis and a lifted (HNF) basis are echelon and lie in
+    # sum(x) = 0, so solves back-substitute along their own pivots and
+    # volumes are N times the squared pivot product.
+    def refuse(*args):
+        raise AssertionError("a structured basis reached a general kernel")
+
+    monkeypatch.setattr(exactnum, "hnf", refuse)
+    monkeypatch.setattr(exactnum, "gso_extend", refuse)
+    B = craig_basis(CraigParams(30, 5, 31)).basis
+    coeffs = [(-1) ** j * (j % 4) for j in range(B.rows)]
+    v = [sum(c * row[j] for c, row in zip(coeffs, B.m)) for j in range(B.cols)]
+    assert solve_left(B, v) == coeffs
+    v[0] += 1
+    v[1] -= 1
+    assert solve_left(B, v) is None
+    for n, m, l in [(30, 1, 31), (30, 3, 31), (61, 31, 67)]:
+        assert craig_basis(CraigParams(n, m, l)).vol_sq == l ** (2 * (m - 1)) * (n + 1)
+    lifted = lift_sublattice(CraigParams(15, 2, 17), repetition(16, 2)).lattice
+    assert lifted.vol_sq == 17**2 * 16 * 4 ** (15 - 1)
+    assert verify_section(CraigParams(125, 63, 127))
 
 
 def test_basis_file_round_trip():

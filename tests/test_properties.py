@@ -12,6 +12,11 @@ the rendering of a density's {base: exponent} map against the lowest-terms
 rational rendering it replaced (`tests/log2_reference.py`).  The integral
 Gram-Schmidt step that `gram_det` shares with LLL is checked against the
 Bareiss determinant of the Gram matrix it replaced (`tests/gram_reference.py`).
+Echelon bases solve by back-substitution along their own pivots, checked
+against solves through the reference HNF (`tests/hnf_reference.py`); rank
+N-1 sum-zero echelon bases take their Gram determinant from their pivots,
+checked against the Bareiss oracle, and every other basis still reaches
+`gso_extend`.
 """
 
 import itertools
@@ -53,6 +58,7 @@ from latpack.exactnum import (
 from latpack.records import RecordEntry, RecordTable, compare
 
 import gram_reference
+import hnf_reference
 import log2_reference
 
 settings.register_profile("latpack", max_examples=150, deadline=None)
@@ -133,6 +139,132 @@ def test_hnf_basis_of_generating_set(M, coeffs):
     if gram_det(M) != 0:
         # A dependent extra row leaves the lattice, so the basis is M's HNF.
         assert B == hnf(M)[0]
+
+
+@st.composite
+def echelon_bases(draw):
+    """Up to 7 columns, rows keyed by distinct pivot columns, in shuffled order.
+
+    In the last-nonzero form (the short Craig basis) each row is zero right
+    of its pivot; in the first-nonzero form (HNF output, lifted lattices)
+    zero left of it.  Pivot entries are nonzero, of either sign and any
+    size up to 9."""
+    cols = draw(st.integers(1, 7))
+    pivots = sorted(draw(st.permutations(range(cols)))[: draw(st.integers(1, cols))])
+    last = draw(st.booleans())
+    entry = st.integers(-9, 9)
+    rows = []
+    for pc in pivots:
+        row = [draw(entry) if (c < pc if last else c > pc) else 0 for c in range(cols)]
+        row[pc] = draw(entry.filter(bool))
+        rows.append(row)
+    return IntMatrix(draw(st.permutations(rows)))
+
+
+def lattice_vectors(data, B):
+    """An integer combination of B's rows, moved off the lattice half the time."""
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=B.rows, max_size=B.rows))
+    v = [sum(c * row[j] for c, row in zip(coeffs, B.m)) for j in range(B.cols)]
+    if data.draw(st.booleans()):
+        bump = data.draw(st.lists(st.integers(-1, 1), min_size=B.cols, max_size=B.cols))
+        v = [a + b for a, b in zip(v, bump)]
+    return v
+
+
+def reference_solve(B, v):
+    """x with x*B = v via the reference HNF (H, U), or None."""
+    H, U = hnf_reference.hnf(B)
+    residual, x = list(v), [0] * B.rows
+    for hrow, urow in zip(H.m, U.m):
+        pc = next(c for c, a in enumerate(hrow) if a)
+        q, r = divmod(residual[pc], hrow[pc])
+        if r:
+            return None
+        residual = [a - q * b for a, b in zip(residual, hrow)]
+        x = [a + q * b for a, b in zip(x, urow)]
+    return None if any(residual) else x
+
+
+@given(echelon_bases(), st.data())
+def test_echelon_back_substitution_matches_hnf_reference(B, data):
+    v = lattice_vectors(data, B)
+    with mock.patch.object(exactnum, "hnf", side_effect=AssertionError("echelon B reached hnf")):
+        x = solve_left(B, v)
+    assert x == reference_solve(B, v)
+
+
+@st.composite
+def mixed(draw, bases):
+    """A basis drawn from ``bases`` with one row added to another: the same
+    lattice, often no longer echelon."""
+    rows = [list(r) for r in draw(bases).m]
+    assume(len(rows) >= 2)
+    i, j = draw(st.permutations(range(len(rows))))[:2]
+    rows[i] = [a + b for a, b in zip(rows[i], rows[j])]
+    return IntMatrix(rows)
+
+
+@given(mixed(echelon_bases()), st.data())
+def test_non_echelon_bases_solve_through_hnf(M, data):
+    assume(exactnum.echelon_pivots(M.m) is None)
+    v = lattice_vectors(data, M)
+    with mock.patch.object(exactnum, "hnf", wraps=exactnum.hnf) as spy:
+        assert solve_left(M, v) == reference_solve(M, v)
+    assert spy.called
+
+
+@st.composite
+def sum_zero_echelon_bases(draw):
+    """Rank N-1 in Z^N with every row summing to 0, in shuffled order.
+
+    Row i has a nonzero pivot at column i + shift and free entries on one
+    side of it; the column at the other end of the row (0 in the
+    last-nonzero form, N-1 in the first-nonzero form) is minus the sum of
+    the rest."""
+    cols = draw(st.integers(2, 7))
+    last = draw(st.booleans())
+    entry = st.integers(-9, 9)
+    rows = []
+    for pc in range(1, cols) if last else range(cols - 1):
+        free = range(1, pc) if last else range(pc + 1, cols - 1)
+        row = [draw(entry) if c in free else 0 for c in range(cols)]
+        row[pc] = draw(entry.filter(bool))
+        row[0 if last else cols - 1] = -sum(row)
+        rows.append(row)
+    return IntMatrix(draw(st.permutations(rows)))
+
+
+@given(sum_zero_echelon_bases())
+def test_pivot_volume_matches_gram_reference(B):
+    with mock.patch.object(exactnum, "gso_extend", side_effect=AssertionError("reached GSO")):
+        assert gram_det(B) == gram_reference.gram_det(B)
+
+
+def pivot_volume_applies(M) -> bool:
+    return (M.rows == M.cols - 1 and not any(sum(r) for r in M.m)
+            and exactnum.echelon_pivots(M.m) is not None)
+
+
+@given(st.one_of(int_matrices(), echelon_bases(), mixed(sum_zero_echelon_bases())))
+def test_other_bases_reach_gso_extend(M):
+    with mock.patch.object(exactnum, "gso_extend", wraps=exactnum.gso_extend) as spy:
+        assert gram_det(M) == gram_reference.gram_det(M)
+    assert spy.called != pivot_volume_applies(M)
+
+
+def test_gram_det_pivot_case_examples():
+    # Sum-zero and rank N-1 but not echelon: both rows start at column 0
+    # and end at column 2.
+    M = IntMatrix([[1, 1, -2], [1, -2, 1]])
+    assert not pivot_volume_applies(M)
+    with mock.patch.object(exactnum, "gso_extend", wraps=exactnum.gso_extend) as spy:
+        assert gram_det(M) == 27
+    assert spy.called
+    # Echelon and rank N-1 but the rows do not sum to 0.
+    M = IntMatrix([[2, 1, 0], [0, 3, 1]])
+    with mock.patch.object(exactnum, "gso_extend", wraps=exactnum.gso_extend) as spy:
+        assert gram_det(M) == gram_reference.gram_det(M) == 41
+    assert spy.called
 
 
 @st.composite
