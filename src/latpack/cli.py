@@ -10,6 +10,7 @@ converted where it is read, so any other exception is a bug and propagates.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -205,7 +206,12 @@ def cmd_compare(args, out):
     out.write(f"candidate {args.value}: {verdict.relation} by {verdict.margin}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and then shared.
+
+    Parsing leaves it unchanged: each call returns a fresh namespace.
+    """
     ap = argparse.ArgumentParser(prog="latpack",
                                  description="exact lattice packings from codes")
     ap.add_argument("--precision", type=int, default=None,
@@ -249,9 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None, out=None) -> int:
     out = out or sys.stdout
     argv = _join_rational_values(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

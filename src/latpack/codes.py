@@ -328,7 +328,11 @@ def gv_exists(n: int, k: int, d: int) -> bool:
 
 
 def gv_max_ks(n: int, ds) -> list[int]:
-    """gv_max_k(n, d) for each d in ``ds``, from one walk of binomial row n."""
+    """gv_max_k(n, d) for each d in ``ds``, from one binom_sums pass over row n.
+
+    The pass costs one binary-splitting product per gap between the sorted
+    distinct d - 1, whatever the number of d.
+    """
     ds = list(ds)
     if not all(1 <= d <= n for d in ds):
         raise ParameterError("need 1 <= d <= n")
@@ -376,12 +380,15 @@ class CodeTable:
         self.known: dict[tuple[int, int, int], int] = {}
         self.upper: dict[tuple[int, int, int], int] = {}
         self.hypothetical: dict[tuple[int, int, int], int] = {}
+        # known, grouped by length: (q, n) -> {k: d}
+        self._known_by_length: dict[tuple[int, int], dict[int, int]] = {}
 
     def add(self, q: int, n: int, k: int, d: int, status: str) -> None:
         key = (q, n, k)
         if status in (TABLE_KNOWN, CONSTRUCTED, GV_EXISTS):
             if d > self.known.get(key, 0):
                 self.known[key] = d
+                self._known_by_length.setdefault((q, n), {})[k] = d
         elif status == HYPOTHETICAL:
             if d > self.hypothetical.get(key, 0):
                 self.hypothetical[key] = d
@@ -399,10 +406,8 @@ class CodeTable:
 
     def best_k_at_distance(self, q: int, n: int, d_min: int) -> int:
         """Largest known-constructible k at length n with distance >= d_min."""
-        best = 0
-        for (qq, nn, k), d in self.known.items():
-            if qq == q and nn == n and d >= d_min and k > best:
-                best = k
+        at_length = self._known_by_length.get((q, n), {})
+        best = max((k for k, d in at_length.items() if d >= d_min), default=0)
         if n >= d_min:
             best = max(best, 1)  # repetition code
         return best

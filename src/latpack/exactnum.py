@@ -12,6 +12,7 @@ enters any certified path.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -131,10 +132,38 @@ def write_int_rows(fh, header, rows) -> None:
         fh.write(" ".join(str(x) for x in row) + "\n")
 
 
+# Ranges of at most this many binomial terms are multiplied out term by term.
+_BINOM_LEAF = 16
+
+
+def _binom_split(n: int, a: int, b: int) -> tuple[int, int, int]:
+    """(P, Q, T) of the terms i = a..b-1 of row n, by binary splitting.
+
+    P = prod(n - i) and Q = prod(i + 1), so C(n, b) = C(n, a) * P / Q, and
+    T / Q = sum of C(n, i) / C(n, a) over the range.  Two adjacent ranges
+    merge as (P1*P2, Q1*Q2, T1*Q2 + P1*T2) (Haible & Papanikolaou 1998).
+    """
+    if b - a <= _BINOM_LEAF:
+        p = q = 1
+        t = 0
+        for i in range(a, b):
+            t = (t + p) * (i + 1)
+            p *= n - i
+            q *= i + 1
+        return p, q, t
+    mid = (a + b) // 2
+    p1, q1, t1 = _binom_split(n, a, mid)
+    p2, q2, t2 = _binom_split(n, mid, b)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
 def binom_sums(n: int, rs) -> list[int]:
     """Sums of binomial coefficients C(n,0..r) for each r in ``rs``, exact.
 
-    One walk of row n up to max(rs) serves every r.
+    Row n is split at the sorted distinct r; each gap between two of them is
+    one binary-splitting product (P, Q, T), which adds C(n, a) * T / Q to the
+    running sum and moves the coefficient to C(n, b) = C(n, a) * P / Q.  Both
+    divisions are exact.
     """
     rs = list(rs)
     if n < 0 or any(r < 0 for r in rs):
@@ -147,9 +176,9 @@ def binom_sums(n: int, rs) -> list[int]:
     c = 1
     done = 0  # total holds C(n,0..done-1) and c is C(n,done)
     for r in sorted(set(rs)):
-        for i in range(done, r + 1):
-            total += c
-            c = c * (n - i) // (i + 1)
+        p, q, t = _binom_split(n, done, r + 1)
+        total += c * t // q
+        c = c * p // q
         done = r + 1
         sums[r] = total
     return [sums[r] for r in rs]
@@ -286,6 +315,29 @@ def hnf_basis(M: IntMatrix) -> IntMatrix:
     return IntMatrix(mat[: len(pivots)])
 
 
+def _nonzero_spans(rows) -> list[tuple[int, int]] | None:
+    """(first, last) nonzero column of each row, or None when a row is zero."""
+    spans = []
+    for row in rows:
+        if not any(row):
+            return None
+        nonzero = list(map(bool, row))
+        spans.append((nonzero.index(True), len(row) - 1 - nonzero[::-1].index(True)))
+    return spans
+
+
+def _span_pivots(spans) -> tuple[list[int], list[int]] | None:
+    """echelon_pivots of rows with these nonzero spans (None: a row is zero)."""
+    if spans is None:
+        return None
+    for side, latest_first in ((1, True), (0, False)):
+        cols = [s[side] for s in spans]
+        if len(set(cols)) == len(cols):
+            order = sorted(range(len(cols)), key=cols.__getitem__, reverse=latest_first)
+            return order, [cols[i] for i in order]
+    return None
+
+
 def echelon_pivots(rows) -> tuple[list[int], list[int]] | None:
     """Row order and pivot columns of an echelon basis, or None.
 
@@ -295,18 +347,7 @@ def echelon_pivots(rows) -> tuple[list[int], list[int]] | None:
     each row is zero at the pivot columns of the rows before it, so the rows
     are independent.  None when a row is zero or neither set is distinct.
     """
-    ends = []
-    for row in rows:
-        nz = [c for c, a in enumerate(row) if a]
-        if not nz:
-            return None
-        ends.append((nz[-1], nz[0]))
-    for side, latest_first in ((0, True), (1, False)):
-        cols = [e[side] for e in ends]
-        if len(set(cols)) == len(cols):
-            order = sorted(range(len(cols)), key=cols.__getitem__, reverse=latest_first)
-            return order, [cols[i] for i in order]
-    return None
+    return _span_pivots(_nonzero_spans(rows))
 
 
 def left_solver(B: IntMatrix):
@@ -316,27 +357,35 @@ def left_solver(B: IntMatrix):
     back-substitutes along B's pivots, and x is the quotients.  Any other B
     is replaced by its HNF (H, U), so a call back-substitutes along H and
     multiplies the quotients by U.  The solution of a full-row-rank B is
-    unique, so both give the same x.  Nothing is modified by a call.  Raises
-    RankError when the rows of B are dependent.
+    unique, so both give the same x.  A row is subtracted only over its
+    nonzero span, found with the pivots.  Nothing is modified by a call.
+    Raises RankError when the rows of B are dependent.
     """
     rows, U = B.m, None
-    found = echelon_pivots(rows)
+    spans = _nonzero_spans(rows)
+    found = _span_pivots(spans)
     if found is None:
         H, U = hnf(B)
         rows = H.m
-        found = echelon_pivots(rows)
+        spans = _nonzero_spans(rows)
+        found = _span_pivots(spans)
+    # Each row in pivot order with its pivot entry and nonzero span lo..hi-1.
+    steps = []
+    for i, pc in zip(*found):
+        lo, hi = spans[i][0], spans[i][1] + 1
+        steps.append((i, pc, rows[i][pc], lo, hi, rows[i][lo:hi]))
 
     def solve(v) -> list[int] | None:
         if len(v) != B.cols:
             raise ParameterError("vector length does not match matrix columns")
         residual = list(v)
         q = [0] * len(rows)
-        for i, pc in zip(*found):
-            qi, r = divmod(residual[pc], rows[i][pc])
+        for i, pc, pivot, lo, hi, span in steps:
+            qi, r = divmod(residual[pc], pivot)
             if r != 0:
                 return None
             if qi:
-                residual = [a - qi * b for a, b in zip(residual, rows[i])]
+                residual[lo:hi] = [a - qi * b for a, b in zip(residual[lo:hi], span)]
                 q[i] = qi
         if any(residual):
             return None
@@ -439,6 +488,12 @@ def _log2_fixed(num: int, den: int, frac_bits: int) -> int:
 _PRODUCT_LOG_BITS = 64
 
 
+@functools.lru_cache(maxsize=4096)
+def _base_log(base: int) -> int:
+    """_log2_fixed(base, 1, _PRODUCT_LOG_BITS), memoized: a few bases recur."""
+    return _log2_fixed(base, 1, _PRODUCT_LOG_BITS)
+
+
 def _log_error_bound(exponent_sum: int) -> int:
     """Integer at least exponent_sum * (1 + 2^-61), the error of that many logs.
 
@@ -474,7 +529,7 @@ def compare_power_products(a, b) -> int:
     for base, e in exps.items():
         if e == 0 or base == 1:
             continue
-        total += e * _log2_fixed(base, 1, _PRODUCT_LOG_BITS)
+        total += e * _base_log(base)
         if e > 0:
             up += e
         else:

@@ -279,9 +279,11 @@ def _candidate_ms(n: int) -> list[int]:
 def sweep_dimension(n: int) -> LiftResult:
     """Best density over a bounded window of m, with k from GV and the code table.
 
-    One walk of binomial row n gives every GV k, and candidates are ranked
-    by the exact order of their densities.  Deterministic tie-break: higher
-    density, then smaller m.
+    One binom_sums pass over binomial row n, binary splitting each gap
+    between consecutive 8m - 1, gives every GV k, and candidates are ranked
+    by the exact order of their densities (memoized fixed-point logs of the
+    bases, expanded only when the logs cannot decide).  Deterministic
+    tie-break: higher density, then smaller m.
     """
     if n < 8:
         raise ParameterError("sweep requires n >= 8")

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import latpack
-from latpack import lift
+from latpack import cli, lift
 from latpack.cli import run
 from latpack.craig import MAX_L, MAX_N, read_basis
 from latpack.exactnum import gram_det, is_prime, next_prime
@@ -208,13 +208,43 @@ def test_internal_value_error_propagates(monkeypatch):
         run(["sweep", "--n", "100"], io.StringIO())
 
 
-def _exit_code_within(argv, timeout=60) -> int:
-    """Exit code of latpack in a child process; a hang fails the test at the timeout."""
+def _child(argv, timeout=60, stdout=subprocess.DEVNULL) -> subprocess.CompletedProcess:
+    """latpack run in a child process; a hang fails the test at the timeout."""
     src = str(Path(latpack.__file__).resolve().parents[1])
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     return subprocess.run([sys.executable, "-m", "latpack.cli", *argv], env=env, timeout=timeout,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+                          stdout=stdout, stderr=subprocess.DEVNULL, text=True)
+
+
+def _exit_code_within(argv, timeout=60) -> int:
+    return _child(argv, timeout).returncode
+
+
+def test_one_process_answers_as_fresh_processes():
+    # The parser is shared by every run in a process: a failed parse and an
+    # earlier --k leave nothing behind for the next call.
+    calls = [
+        ["density", "--n", "52", "--m", "6", "--k", "x"],
+        ["density", "--n", "52", "--m", "6", "--l", "53", "--k", "1"],
+        ["density", "--n", "52", "--m", "6", "--l", "53"],
+        ["density", "--n", "52", "--m", "6", "--l", "53", "--k", "1", "--l", "52"],
+        ["density", "--n", "52", "--m", "6", "--l", "53"],
+    ]
+    in_process = [invoke(*argv) for argv in calls]
+    fresh = [_child(argv, stdout=subprocess.PIPE) for argv in calls]
+    assert in_process == [(c.returncode, c.stdout) for c in fresh]
+    assert [code for code, _ in in_process] == [2, 0, 0, 2, 0]
+    assert "k=1" in in_process[1][1] and "k=0" in in_process[2][1]
+
+
+def test_parser_is_built_once():
+    cli.build_parser.cache_clear()
+    invoke("gv", "--n", "100", "--d", "10")
+    invoke("gv", "--n", "100")  # exit 2: --d is required
+    invoke("compare", "--dim", "4096", "--value", "1")
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_size_inputs_answer_in_bounded_time(tmp_path):

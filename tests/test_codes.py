@@ -7,7 +7,11 @@ import pytest
 
 from latpack.errors import CapacityError, ParameterError, ParseError
 from latpack.codes import (
+    GV_EXISTS,
+    HYPOTHETICAL,
+    TABLE_KNOWN,
     CodeSpec,
+    CodeTable,
     LinearCode,
     builtin_code_table,
     concatenate,
@@ -183,6 +187,30 @@ def test_builtin_code_table_loads():
     assert t.best_k_at_distance(2, 96, 32) == 23
     # repetition fallback
     assert t.best_k_at_distance(2, 1000, 999) == 1
+
+
+def _best_k_by_scan(table, q, n, d_min):
+    """best_k_at_distance as a scan of every known entry."""
+    ks = [k for (qq, nn, k), d in table.known.items() if (qq, nn) == (q, n) and d >= d_min]
+    return max(ks + [1 if n >= d_min else 0])
+
+
+def test_best_k_at_distance_matches_a_scan_of_known():
+    t = builtin_code_table()
+    lengths = sorted({(q, n) for q, n, _ in t.known})
+    for q, n in lengths:
+        for d_min in range(1, n + 2):
+            assert t.best_k_at_distance(q, n, d_min) == _best_k_by_scan(t, q, n, d_min)
+    # Entries raised, not lowered, by later adds; other statuses stay out.
+    rng = random.Random(5)
+    t = CodeTable()
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        k = rng.randint(1, n)
+        status = rng.choice([TABLE_KNOWN, GV_EXISTS, HYPOTHETICAL, "upper"])
+        t.add(rng.choice([2, 4]), n, k, rng.randint(1, n), status)
+        q, n, d_min = rng.choice([2, 4]), rng.randint(1, 12), rng.randint(1, 13)
+        assert t.best_k_at_distance(q, n, d_min) == _best_k_by_scan(t, q, n, d_min)
 
 
 def test_generator_file_round_trip(tmp_path):

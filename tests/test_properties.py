@@ -6,10 +6,13 @@ margin and logarithm; each property below checks one of them against an
 independent oracle (Gram determinants, brute-force spans, the polynomial
 membership criterion, `decimal` formatting, a `binom_sum` scan).  The
 table-driven GF(q) elimination is also checked against one that calls
-`gf_mul` for every entry.  The binomial prefix walk and the exact
-power-product order are checked against `math.comb` and `Fraction`, and
-the rendering of a density's {base: exponent} map against the lowest-terms
-rational rendering it replaced (`tests/log2_reference.py`).  The integral
+`gf_mul` for every entry.  The binary-splitting binomial prefix sums are
+checked against `math.comb` and against the one-coefficient walk they
+replaced (`tests/binom_reference.py`), the GV dimensions against the GV
+condition itself, the memoized base logs against the fixed-point kernel,
+and the exact power-product order against `Fraction`.  The rendering of a
+density's {base: exponent} map is checked against the lowest-terms rational
+rendering it replaced (`tests/log2_reference.py`).  The integral
 Gram-Schmidt step that `gram_det` shares with LLL is checked against the
 Bareiss determinant of the Gram matrix it replaced (`tests/gram_reference.py`).
 Echelon bases solve by back-substitution along their own pivots, checked
@@ -44,6 +47,8 @@ from latpack.errors import ParameterError, RankError
 from latpack.exactnum import (
     LOG2_FRACTION_BITS,
     IntMatrix,
+    _BINOM_LEAF,
+    _base_log,
     _log2_fixed,
     binom_sum,
     binom_sums,
@@ -55,8 +60,10 @@ from latpack.exactnum import (
     next_prime,
     solve_left,
 )
+from latpack.lift import _candidate_ms
 from latpack.records import RecordEntry, RecordTable, compare
 
+import binom_reference
 import gram_reference
 import hnf_reference
 import log2_reference
@@ -423,8 +430,9 @@ def test_log2_of_rounds_ties_to_even(j, digits):
         return (2 * j + 1) << (frac_bits - digits)
 
     exact = Fraction(2 * j + 1, 2 ** (digits + 1))
-    with mock.patch.object(exactnum, "_log2_fixed", tie):
+    with mock.patch.object(exactnum, "_log2_fixed", side_effect=tie) as kernel:
         got = log2_of({3: 1}, digits)
+    kernel.assert_called_once()  # log2_of bypasses the memoized base logs
     want = Decimal(exact.numerator) / Decimal(exact.denominator)
     assert got == str(want.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_EVEN))
     # the rendering is one of the two neighbours, and its last digit is even
@@ -444,6 +452,66 @@ def test_gv_max_ks_matches_gv_max_k(data):
     n = data.draw(st.integers(1, 400))
     ds = data.draw(st.lists(st.integers(1, n), max_size=8))
     assert gv_max_ks(n, ds) == [gv_max_k(n, d) for d in ds]
+
+
+@st.composite
+def binom_rows(draw):
+    """A row n <= 3000 and a list of r in 0..n for binom_sums.
+
+    The r are a running sum of gaps of lengths around one and two leaves
+    of the binary splitting, with 0, n and repeats mixed in and the list
+    shuffled, so segments start, end and split at and beside leaf edges.
+    """
+    n = draw(st.integers(0, 3000))
+    leaf = _BINOM_LEAF
+    gap = st.one_of(
+        st.sampled_from([0, 1, leaf - 1, leaf, leaf + 1, 2 * leaf - 1, 2 * leaf, 2 * leaf + 1]),
+        st.integers(0, n),
+    )
+    r = draw(st.integers(0, n))
+    rs = [r]
+    for g in draw(st.lists(gap, max_size=6)):
+        r = min(n, r + g)
+        rs.append(r)
+    rs += draw(st.lists(st.sampled_from([0, n, *rs]), max_size=3))
+    return n, draw(st.permutations(rs))
+
+
+@given(binom_rows())
+def test_binom_sums_match_walk_reference(row):
+    n, rs = row
+    assert binom_sums(n, rs) == binom_reference.binom_sums(n, rs)
+
+
+def _gv_k_by_definition(n: int, volume: int) -> int:
+    """Largest k in 1..n with volume < 2^(n-k+1), the GV condition; 0 if none."""
+    return max((k for k in range(1, n + 1) if volume < 1 << (n - k + 1)), default=0)
+
+
+@given(binom_rows())
+@settings(max_examples=40)
+def test_gv_max_ks_match_walk_reference(row):
+    n, rs = row
+    assume(n >= 1)
+    ds = [max(r, 1) for r in rs]
+    want = [_gv_k_by_definition(n, v) for v in binom_reference.binom_sums(n, [d - 1 for d in ds])]
+    assert gv_max_ks(n, ds) == want
+
+
+@pytest.mark.parametrize("n", [8190, 16380])
+def test_binom_sums_on_sweep_windows(n):
+    # The r that sweep_dimension asks for: 8m - 1 for each candidate m.
+    ds = [8 * m for m in _candidate_ms(n) if 8 * m <= n]
+    sums = binom_reference.binom_sums(n, [d - 1 for d in ds])
+    assert binom_sums(n, [d - 1 for d in ds]) == sums
+    assert gv_max_ks(n, ds) == [_gv_k_by_definition(n, v) for v in sums]
+
+
+@given(st.one_of(st.integers(1, 10**4), st.integers(1, 10**40)))
+def test_memoized_base_log_matches_kernel(base):
+    assert _base_log(base) == _log2_fixed(base, 1, 64)
+    assert _base_log(base) == _base_log(base)
+    assert _base_log.cache_info().maxsize is not None  # bounded
 
 
 def _order(x, y) -> int:
