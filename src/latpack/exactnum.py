@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import ParameterError, ParseError, RankError
@@ -418,7 +419,7 @@ def gso_extend(rows, d, lam) -> bool:
     lam_k: list[int] = []
     for j in range(k + 1):
         lam_j = lam[j] if j < k else lam_k
-        u = sum(a * b for a, b in zip(rows[k], rows[j]))
+        u = sum(map(operator.mul, rows[k], rows[j]))
         for i in range(j):
             u = (d[i + 1] * u - lam_k[i] * lam_j[i]) // d[i]
         lam_k.append(u)

@@ -3,12 +3,19 @@
 Integral LLL (Cohen, *A Course in Computational Algebraic Number Theory*,
 Alg. 2.6.7) followed by depth-first Fincke-Pohst enumeration scaled by the
 integral Gram determinants.  Both run on plain ints, so a returned minimum
-is a certificate, not an estimate.
+is a certificate, not an estimate.  At each level the enumeration visits,
+in ascending order, the closed-form integer interval of coefficients that
+keep the norm below the current bound.  It searches one vector of each
++-v pair, the one whose top nonzero coefficient is negative, and returns
+the witness a search over both signs returns: the shortest reduced basis
+row, or, when some vector is shorter, the first minimal vector in the
+search order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,7 +61,10 @@ class Certificate:
     bound: int
     norm: int
     witness: list | None  # shortest vector when the bound is violated
-    nodes: int = 0  # enumeration nodes visited
+    # Enumeration nodes visited: the coefficients of each level's interval
+    # that stay below the current bound, for one vector of each +-v pair
+    # (A_n takes n(n+1)/2); the sign rule leaves the witness as it was.
+    nodes: int = 0
 
 
 def _basis_rows(lattice) -> list[list[int]]:
@@ -121,9 +131,25 @@ def shortest_vector(lattice, stats: dict | None = None):
     Level l adds |b*_l|^2 (x_l + sum_{t>l} mu_tl x_t)^2, which equals
     (d_{l+1} x_l + C_l)^2 / (d_l d_{l+1}) with the integer centre numerator
     C_l = sum_{t>l} lam_tl x_t; every norm is scaled by
-    L = lcm_l(d_l d_{l+1}), so each pruning test compares ints.  When
-    ``stats`` is given, ``stats["nodes"]`` is increased by the number of
-    enumeration nodes visited.
+    L = lcm_l(d_l d_{l+1}), so each pruning test compares ints.
+
+    - Interval: with s_l = L / (d_l d_{l+1}) and t = isqrt((best - partial
+      - 1) // s_l), the x_l that keep the scaled norm below ``best`` are
+      exactly the integers in [-((C_l + t) // d_{l+1}), (t - C_l) // d_{l+1}],
+      visited in ascending order.
+    - Sign rule: at a level where every higher coefficient is 0, only
+      x_l <= 0 is taken, so the search visits one vector of each +-v pair,
+      the one whose top nonzero coefficient is negative.
+    - Witness: ``best`` falls only on a strictly shorter vector, so the
+      witness is the shortest row of the reduced basis unless a vector is
+      shorter, and otherwise the lexicographically first minimal coefficient
+      vector (ascending, top coordinate most significant).  That vector has
+      a negative top nonzero coefficient, and each positive branch is
+      visited after its mirror, so the sign rule changes neither the
+      minimum, nor the witness, nor the order in which ``best`` falls.
+
+    When ``stats`` is given, ``stats["nodes"]`` is increased by the number
+    of enumeration nodes visited.
     """
     rows = _basis_rows(lattice)
     if len(rows) > RANK_CAP:
@@ -135,7 +161,7 @@ def shortest_vector(lattice, stats: dict | None = None):
     scale_all = math.lcm(*dens)
     scale = [scale_all // den for den in dens]
 
-    norms = [sum(x * x for x in row) for row in rows]
+    norms = [sum(map(operator.mul, row, row)) for row in rows]
     shortest_row = min(norms)
     best = shortest_row * scale_all
     best_x = [0] * r
@@ -144,47 +170,33 @@ def shortest_vector(lattice, stats: dict | None = None):
     coeff = [0] * r
     nodes = 0
 
-    def descend(level: int, partial: int, centers: list) -> None:
+    def descend(level: int, partial: int, centers: list, top: bool) -> None:
+        # centers[i] = C_i = sum_{t>i} lam[t][i] * x_t for i <= level, and
+        # top says that every x_t with t > level is 0 (so C_level = 0)
         nonlocal best, best_x, nodes
-        # centers[i] = C_i = sum_{t>i} lam[t][i] * x_t for already-fixed x_t
-        if level < 0:
-            if any(coeff):
-                best = partial
-                best_x = list(coeff)
-            return
         dl, cl, sl = d[level + 1], centers[level], scale[level]
-        base = div_round_half_even(-cl, dl)
-        # Walk outward from the rounded center in both directions; the term
-        # is monotone in |x - center| so each direction stops at the first
-        # bound violation.
-        order = [base]
-        step = 1
-        while True:
-            grew = False
-            for cand in (base + step, base - step):
-                if partial + (dl * cand + cl) ** 2 * sl < best:
-                    order.append(cand)
-                    grew = True
-            if not grew:
-                break
-            step += 1
-        for cand in sorted(order):
-            total = partial + (dl * cand + cl) ** 2 * sl
-            if total >= best:
+        t = math.isqrt((best - partial - 1) // sl)
+        lo = -((cl + t) // dl)
+        hi = 0 if top else (t - cl) // dl
+        lam_l = lam[level]
+        for cand in range(lo, hi + 1):
+            u = dl * cand + cl
+            total = partial + u * u * sl
+            if total >= best:  # best may have fallen since t was taken
                 continue
             nodes += 1
             coeff[level] = cand
             if level == 0:
-                descend(-1, total, centers)
+                if cand or not top:
+                    best = total
+                    best_x = list(coeff)
+            elif cand:
+                descend(level - 1, total, [c + a * cand for c, a in zip(centers, lam_l)], False)
             else:
-                new_centers = list(centers)
-                lam_l = lam[level]
-                for i in range(level):
-                    new_centers[i] += lam_l[i] * cand
-                descend(level - 1, total, new_centers)
-            coeff[level] = 0
+                descend(level - 1, total, centers, top)
+        coeff[level] = 0
 
-    descend(r - 1, 0, [0] * r)
+    descend(r - 1, 0, [0] * r, True)
     if stats is not None:
         stats["nodes"] = stats.get("nodes", 0) + nodes
     witness = [0] * len(rows[0])

@@ -1,39 +1,57 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from latpack.errors import CapacityError, ParameterError, RankError
-from latpack.exactnum import IntMatrix, gram_det
+from latpack.exactnum import IntMatrix, gram_det, next_prime
 from latpack.craig import CraigParams, craig_basis
 from latpack.svp import lll_reduce, shortest_vector, verify_min_norm
 
+import enum_reference
 import svp_cases
 import svp_reference
 from svp_cases import DEFAULT_QUALITY, scramble
 
 
+def _inverse_diagonal(gram) -> list[Fraction]:
+    """Diagonal of the inverse of a nonsingular integer matrix, by exact
+    Gauss-Jordan elimination over Fraction."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(gram)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if a[i][c])
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return [a[i][n + i] for i in range(n)]
+
+
 def brute_force_min(basis: IntMatrix) -> int:
     """Exhaustive box search over the reference-LLL-reduced basis.
 
-    Independent of latpack's LLL and of the DFS path: the boxes come from the
-    reference LLL's GSO norms (coefficients of a vector no longer than the
-    shortest reduced row are small in the reduced frame), padded by one and
-    capped so the product stays enumerable.  Every coefficient vector in the
-    boxes is visited; x G x^T is summed level by level, fixing x_k adding
-    x_k^2 G_kk + 2 x_k y_k with the prefix sums y = sum_{j<k} x_j G_j.
+    Independent of latpack's LLL and of the DFS path.  A vector
+    v = sum_i x_i b_i has x_i = <v, b'_i> for the dual basis b' = G^-1 B,
+    whose rows have squared norms (G^-1)_ii, G = B B^T.  So by
+    Cauchy-Schwarz every v with |v|^2 <= bound, the shortest row norm, has
+    |x_i| <= isqrt(bound * (G^-1)_ii), computed exactly: the boxes hold
+    every vector no longer than the shortest row, so the search is provably
+    exhaustive.  Every coefficient vector in the boxes is visited; x G x^T
+    is summed level by level, fixing x_k adding x_k^2 G_kk + 2 x_k y_k with
+    the prefix sums y = sum_{j<k} x_j G_j.
     """
     red = svp_reference.lll_reduce(basis)
     rows = red.basis.m
     gram = [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
     r = len(rows)
     bound = min(gram[i][i] for i in range(r))
-    boxes = []
-    for b in red.gso_norms:
-        c = 1
-        while c * c * b <= bound:
-            c += 1
-        boxes.append(min(c + 1, 4))
+    boxes = [math.isqrt(math.floor(bound * g)) for g in _inverse_diagonal(gram)]
     best = None
 
     def search(k, partial, prefix, nonzero):
@@ -131,11 +149,17 @@ def test_shortest_vector_witness_consistency():
 
 
 def test_shortest_vector_matches_brute_force():
+    rng = random.Random(23)
+    bases = []
     for p in [CraigParams(4, 2, 5), CraigParams(5, 2, 7), CraigParams(6, 3, 7),
               CraigParams(7, 3, 11), CraigParams(8, 4, 11)]:
-        lat = craig_basis(p)
-        got, _ = shortest_vector(lat)
-        assert got == brute_force_min(lat.basis)
+        basis = craig_basis(p).basis
+        bases += [basis, scramble(basis, rng)]
+    for n in (2, 3, 5, 8):
+        bases.append(craig_basis(CraigParams(n, 1, next_prime(n + 1))).basis)
+    for basis in bases:
+        got, _ = shortest_vector(basis)
+        assert got == brute_force_min(basis)
 
 
 def test_enumeration_invariant_under_scrambling():
@@ -166,15 +190,29 @@ def test_certificate_node_count():
     cert = verify_min_norm(basis, 8)
     assert cert.holds and cert.nodes > 0
     assert verify_min_norm(basis, 8) == cert
-    # a signed coordinate permutation is an isometry: same Gram matrix,
-    # so the same LLL steps and the same enumeration tree
-    rng = random.Random(12)
+    moved = _signed_permutation(basis, random.Random(12))
+    assert moved != basis
+    assert verify_min_norm(moved, 8) == cert
+
+
+def _signed_permutation(basis: IntMatrix, rng) -> IntMatrix:
+    """The rows with their coordinates permuted and sign-flipped: an isometry,
+    so the same Gram matrix, the same LLL steps and the same enumeration tree."""
     perm = list(range(basis.cols))
     rng.shuffle(perm)
     signs = [rng.choice((-1, 1)) for _ in perm]
-    moved = IntMatrix([[s * row[p] for p, s in zip(perm, signs)] for row in basis.m])
-    assert moved != basis
-    assert verify_min_norm(moved, 8) == cert
+    return IntMatrix([[s * row[p] for p, s in zip(perm, signs)] for row in basis.m])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 20, 32, 40])
+def test_a_n_node_count(n):
+    # The search keeps one vector of each +-v pair: n(n+1)/2 nodes, where
+    # the search over both signs took n^2.
+    basis = craig_basis(CraigParams(n, 1, next_prime(n + 1))).basis
+    cert = verify_min_norm(basis, 2)
+    assert cert.holds and cert.norm == 2
+    assert cert.nodes == n * (n + 1) // 2
+    assert verify_min_norm(_signed_permutation(basis, random.Random(n)), 2).nodes == cert.nodes
 
 
 # Differential tests against the rational reference implementation, whose
@@ -240,3 +278,54 @@ def test_differential_random_matrices():
         independent += assert_same_as_reference(rows, quality)
     # both outcomes are exercised
     assert 0 < independent < 600
+
+
+# Differential tests against the enumeration over both signs that the
+# search replaced (tests/enum_reference.py): the same minimum and witness,
+# and between half and all of its nodes, since each positive branch that is
+# pruned is no larger than its negative mirror, which is kept.
+
+
+def assert_same_as_enum_reference(rows) -> bool:
+    """Assert equal (norm, witness) and oracle_nodes / 2 <= nodes <=
+    oracle_nodes, or RankError on both sides.  Returns whether the rows
+    were independent."""
+    want_stats, got_stats = {}, {}
+    want = _result_or_rank_error(enum_reference.shortest_vector, rows, want_stats)
+    got = _result_or_rank_error(shortest_vector, rows, got_stats)
+    assert got == want
+    if want is RankError:
+        return False
+    assert want_stats["nodes"] <= 2 * got_stats["nodes"] <= 2 * want_stats["nodes"]
+    return True
+
+
+def test_enumeration_matches_reference_on_svp_cases():
+    seen = set()
+    independent = 0
+    for rows, _ in svp_cases.all_inputs():
+        key = svp_cases.case_key(rows, DEFAULT_QUALITY)
+        if key not in seen:
+            seen.add(key)
+            independent += assert_same_as_enum_reference(rows)
+    assert 0 < independent < len(seen)
+
+
+@st.composite
+def small_bases(draw):
+    r = draw(st.integers(1, 6))
+    cols = draw(st.integers(r, r + 1))
+    entries = st.one_of(st.integers(-4, 4), st.integers(-60, 60))
+    return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=r, max_size=r))
+
+
+@given(small_bases())
+@example([[3, -1]])
+@example([[0, 5, 0]])
+@example([[1, 0], [0, 1]])
+@example([[2, 1], [1, 2]])
+@example([[1, 1, 0], [1, -1, 0]])
+@example([[1, 2], [2, 4]])
+@settings(max_examples=300, deadline=None)
+def test_enumeration_matches_reference_on_small_bases(rows):
+    assert_same_as_enum_reference(rows)
