@@ -2,7 +2,8 @@
 
 Field elements are encoded as bit-polynomials 0..q-1 with the moduli
 x^2+x+1 and x^3+x+1.  Minimum distances come from full codeword
-enumeration (capped), existence questions from exact Gilbert-Varshamov
+enumeration (capped; one Gray-code walk over GF(2) combinations serves
+every field), existence questions from exact Gilbert-Varshamov
 integer comparisons, never the entropy approximation.
 """
 
@@ -20,7 +21,6 @@ __all__ = [
     "CodeSpec",
     "LinearCode",
     "CodeTable",
-    "gf_add",
     "gf_mul",
     "repetition",
     "extend_parity",
@@ -65,10 +65,6 @@ def _reduce(x: int, mod: int) -> int:
     while x.bit_length() >= mb:
         x ^= mod << (x.bit_length() - mb)
     return x
-
-
-def gf_add(a: int, b: int) -> int:
-    return a ^ b
 
 
 def gf_mul(q: int, a: int, b: int) -> int:
@@ -118,39 +114,28 @@ def gf_rank(q: int, rows) -> int:
     return len(_gf_eliminate(q, work, len(work[0])))
 
 
-def gf_solver(q: int, rows):
-    """Eliminate once; return a function target -> x with sum x_i * rows[i] = target, or None.
+def gf_solve(q: int, rows, target):
+    """Coefficients x with sum x_i * rows[i] = target over GF(q), or None.
 
-    Eliminates [rows | I] here; the identity columns of a pivot row give its
-    coefficients over the original rows.  Each call of the returned function
-    reduces its target along the pivot rows and does not modify them.
+    Eliminates [rows | I]; the identity columns of a pivot row give its
+    coefficients over the original rows.  The target and its coefficients
+    then reduce together along the pivot rows, as one row of [rows | I].
     """
     nrows = len(rows)
     ncols = len(rows[0])
+    if len(target) != ncols:
+        raise ParameterError("target length does not match the rows")
     aug = [list(r) + [1 if i == j else 0 for j in range(nrows)] for i, r in enumerate(rows)]
-    pivots = [(c, aug[i]) for i, c in enumerate(_gf_eliminate(q, aug, ncols))]
     mul = _mul_table(q)
-
-    def solve(target):
-        if len(target) != ncols:
-            raise ParameterError("target length does not match the rows")
-        # The target and its coefficients reduce together, as one row of [rows | I].
-        acc = list(target) + [0] * nrows
-        for c, row in pivots:
-            f = acc[c]
-            if f:
-                fm = mul[f]
-                acc = [a ^ fm[b] for a, b in zip(acc, row)]
-        if any(acc[:ncols]):
-            return None
-        return acc[ncols:]
-
-    return solve
-
-
-def gf_solve(q: int, rows, target):
-    """Coefficients x with sum x_i * rows[i] = target over GF(q), or None."""
-    return gf_solver(q, rows)(target)
+    acc = list(target) + [0] * nrows
+    for i, c in enumerate(_gf_eliminate(q, aug, ncols)):
+        f = acc[c]
+        if f:
+            fm = mul[f]
+            acc = [a ^ fm[b] for a, b in zip(acc, aug[i])]
+    if any(acc[:ncols]):
+        return None
+    return acc[ncols:]
 
 
 @dataclass(frozen=True)
@@ -217,44 +202,37 @@ def repetition(n: int, q: int = 2) -> LinearCode:
     return LinearCode(CodeSpec(q, n, 1, n, CONSTRUCTED), [[1] * n])
 
 
+def _scaled_rows(q: int, rows) -> list[list[int]]:
+    """The rows alpha^t * g for each row g and t < log2(q), with alpha = x.
+
+    Their GF(2) combinations are exactly the GF(q) combinations of ``rows``.
+    """
+    mul = _mul_table(q)
+    return [[mul[1 << t][s] for s in g] for g in rows for t in range(q.bit_length() - 1)]
+
+
 def min_distance(c: LinearCode) -> int:
-    """Exact minimum weight by full enumeration of the q^k codewords."""
+    """Exact minimum weight by full enumeration of the q^k codewords.
+
+    Each alpha^t-scaled generator row is packed b = log2(q) bits per symbol,
+    and a Gray-code walk over their GF(2) combinations XORs one mask per
+    codeword; a symbol is nonzero when any of its b bits is set.
+    """
     q, n, k = c.q, c.n, c.k
     if q**k > ENUMERATION_CAP:
         raise CapacityError(f"{q}^{k} codewords exceed the enumeration cap")
-    if q == 2:
-        masks = []
-        for row in c.generator:
-            m = 0
-            for j, x in enumerate(row):
-                if x:
-                    m |= 1 << j
-            masks.append(m)
-        best = n + 1
-        word = 0
-        for i in range(1, 1 << k):  # Gray-code walk: one row XOR per codeword
-            word ^= masks[(i & -i).bit_length() - 1]
-            w = word.bit_count()
-            if 0 < w < best:
-                best = w
-        return best
+    b = q.bit_length() - 1
+    digits = [format(s, f"0{b}b") for s in range(q)]  # symbol j sits at bits j*b .. j*b+b-1
+    rows = _scaled_rows(q, c.generator)
+    masks = [int("".join([digits[s] for s in reversed(row)]), 2) for row in rows]
+    low = int(digits[1] * n, 2)  # the lowest bit of every symbol
     best = n + 1
-
-    def walk(i, current):
-        nonlocal best
-        if i == k:
-            w = sum(1 for x in current if x)
-            if 0 < w < best:
-                best = w
-            return
-        row = c.generator[i]
-        for e in range(q):
-            if e == 0:
-                walk(i + 1, current)
-            else:
-                walk(i + 1, [gf_add(x, gf_mul(q, e, y)) for x, y in zip(current, row)])
-
-    walk(0, [0] * n)
+    word = 0
+    for i in range(1, 1 << len(masks)):  # Gray-code walk: one row XOR per codeword
+        word ^= masks[(i & -i).bit_length() - 1]
+        w = word.bit_count() if b == 1 else ((word | word >> 1 | word >> (b - 1)) & low).bit_count()
+        if 0 < w < best:
+            best = w
     return best
 
 
@@ -272,10 +250,6 @@ def extend_parity(c: LinearCode) -> LinearCode:
             out = LinearCode(CodeSpec(2, c.n + 1, c.k, exact, CONSTRUCTED), rows)
         return out
     return LinearCode(CodeSpec(2, c.n + 1, c.k, d, status), rows)
-
-
-def _symbol_bits(s: int, b: int) -> list[int]:
-    return [(s >> t) & 1 for t in range(b)]
 
 
 def concatenate(outer, inner: LinearCode):
@@ -298,19 +272,11 @@ def concatenate(outer, inner: LinearCode):
     if not isinstance(outer, LinearCode):
         status = ospec.status if ospec.status != CONSTRUCTED else TABLE_KNOWN
         return CodeSpec(2, n_out, k_out, d_out, status)
-    rows = []
-    for g in outer.generator:
-        for t in range(b):
-            scaled = [gf_mul(ospec.q, s, 1 << t) for s in g]
-            row = []
-            for s in scaled:
-                bits = _symbol_bits(s, b)
-                word = [0] * inner.n
-                for j, bit in enumerate(bits):
-                    if bit:
-                        word = [x ^ y for x, y in zip(word, inner.generator[j])]
-                row.extend(word)
-            rows.append(row)
+    words = [[0] * inner.n]  # words[s]: the inner codeword of symbol s's bits
+    for s in range(1, 1 << b):
+        low_bit = (s & -s).bit_length() - 1
+        words.append([x ^ y for x, y in zip(words[s & (s - 1)], inner.generator[low_bit])])
+    rows = [[x for s in row for x in words[s]] for row in _scaled_rows(ospec.q, outer.generator)]
     if 2**k_out <= ENUMERATION_CAP:
         code = LinearCode(CodeSpec(2, n_out, k_out, d_out, CONSTRUCTED), rows)
         exact = min_distance(code)

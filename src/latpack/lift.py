@@ -4,7 +4,9 @@ The core move: reduce A(n, m, l) coordinatewise mod 2 (the image is the
 even-weight [n+1, n, 2] code), pick a subcode V of dimension k with
 distance >= 8m, and take the preimage.  The preimage is a lattice of index
 2^(n-k) whose nonzero vectors have squared norm >= 8m, giving center
-density 2^(k-n/2) m^(n/2) / (l^(m-1) (n+1)^(1/2)).  Everything downstream
+density 2^(k-n/2) m^(n/2) / (l^(m-1) (n+1)^(1/2)).  Its basis needs no
+solving over GF(2): l is odd and l*A_n lies in A(n, m, l), so an even-weight
+codeword c lifts in closed form to l*(c - wt(c)*e_0).  Everything downstream
 (the 8x Craig improvement, the conditional tables, the GV pipelines, the
 dimension sweeps) instantiates that formula with different code sources.
 """
@@ -39,7 +41,6 @@ from .codes import (
     concatenate,
     dual_hamming_7_3_4,
     extend_parity,
-    gf_solver,
     griesmer_length,
     gv_exists,
     gv_max_k,
@@ -91,26 +92,21 @@ def reduce_mod2(p: CraigParams, v) -> list[int]:
     return [x % 2 for x in v]
 
 
-def _lift_generator_rows(basis_rows, code_rows):
-    """For each codeword c find a lattice vector congruent to c mod 2."""
-    solve = gf_solver(2, [[x % 2 for x in row] for row in basis_rows])
-    lifted = []
-    for c in code_rows:
-        x = solve([b % 2 for b in c])
-        if x is None:
-            raise ParameterError("codeword is outside the mod-2 image of the lattice")
-        vec = [0] * len(c)
-        for i, xi in enumerate(x):
-            if xi:
-                vec = [a + b for a, b in zip(vec, basis_rows[i])]
-        lifted.append(vec)
-    return lifted
-
-
 def _preimage_lattice(p: CraigParams, code_rows) -> IntegerLattice:
-    """Basis of {v in A : v mod 2 in span(code_rows)} via HNF of the stacked system."""
+    """Basis of {v in A : v mod 2 in span(code_rows)} via HNF of the stacked system.
+
+    Each even-weight codeword c lifts in closed form to l*(c - wt(c)*e_0): the
+    vector sums to 0, so it lies in l*A_n, which A = A(n, m, l) contains, and
+    it is c mod 2 since l is odd and wt(c) even.  A mod 2 is the [n+1, n, 2]
+    even-weight code, so the vectors of A that are 0 mod 2 form a sublattice
+    of index 2^n in A; so does the 2A inside it, and the two are equal.  Any
+    lifts of the generators together with twice the basis of A therefore span
+    the preimage, and its reduced HNF is unique.
+    """
     base = craig_basis(p)
-    lifted = _lift_generator_rows(base.basis.m, code_rows)
+    lifted = [[p.l * x for x in c] for c in code_rows]
+    for row, c in zip(lifted, code_rows):
+        row[0] -= p.l * sum(c)
     doubled = [[2 * x for x in row] for row in base.basis.m]
     stacked = IntMatrix(lifted + doubled)
     h = hnf_basis(stacked)

@@ -258,12 +258,16 @@ def test_size_inputs_answer_in_bounded_time(tmp_path):
     top, over = str(l), str(next_prime(MAX_L + 1))
     code = tmp_path / "code.txt"
     code.write_text(f"2 {MAX_N} 1\n" + " ".join(["1"] * MAX_N) + "\n")  # [n, 1, n]
+    ambient = tmp_path / "ambient.txt"
+    ambient.write_text("2 512 1\n" + " ".join(["1"] * 512) + "\n")  # [512, 1, 512]
     huge_prime = "1000000000000000000000000007"  # above exactnum._MR_LIMIT
     at_caps = [
         (["density", "--n", n, "--m", str((MAX_N + 1) // 2), "--l", top, "--k", n], 0),
         (["construct", "--n", "10", "--m", "2", "--l", top], 0),
         (["construct", "--n", n], 3),  # basis construction stops at ambient 512
         (["lift", "--n", n, "--m", m, "--l", top, "--code", str(code)], 0),
+        # the lift above builds no basis; this one builds it at ambient 512
+        (["lift", "--n", "511", "--m", "1", "--l", "521", "--code", str(ambient)], 0),
         (["gv", "--n", n, "--d", n], 0),
         (["sweep", "--n", n], 0),
         (["conditional", "--n", n, "--m", m, "--l", top, "--req-n", str(MAX_N + 1),

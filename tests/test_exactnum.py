@@ -23,7 +23,6 @@ from latpack.exactnum import (
     solve_left,
 )
 from latpack.craig import CraigParams, LogDensity, craig_basis
-from latpack.lift import _lift_generator_rows
 
 import hnf_reference
 from craig_reference import binomial_craig_rows
@@ -185,19 +184,22 @@ def test_hnf_matches_reference_on_craig_bases():
 
 
 def test_hnf_basis_matches_reference_on_preimage_stacks():
-    # The stacked system of lift._preimage_lattice: lifts of the generators
-    # of a seeded even-weight code over twice the Craig basis.
+    # The stacked system of lift._preimage_lattice: the closed-form lifts
+    # l*(c - wt(c)*e_0) of the generators of a seeded even-weight code over
+    # twice the Craig basis.
     rng = random.Random(95)
     for n, m in ((31, 1), (47, 2), (63, 3), (79, 2), (95, 3)):
-        base = craig_basis(CraigParams(n, m, next_prime(n + 1))).basis.m
+        l = next_prime(n + 1)
+        base = craig_basis(CraigParams(n, m, l)).basis.m
         for k in (1, n // 4, n // 2):
-            code = []
+            lifted = []
             for _ in range(k):
                 row = [rng.randrange(2) for _ in range(n)]
-                code.append(row + [sum(row) % 2])
-            stack = _lift_generator_rows(base, code) + [[2 * x for x in row] for row in base]
-            want = hnf_reference.hnf_basis(IntMatrix(stack))
-            assert hnf_basis(IntMatrix(stack)) == want
+                c = row + [sum(row) % 2]
+                lifted.append([l * (x - (j == 0) * sum(c)) for j, x in enumerate(c)])
+            stack = IntMatrix(lifted + [[2 * x for x in row] for row in base])
+            want = hnf_reference.hnf_basis(stack)
+            assert hnf_basis(stack) == want
             assert want.rows == n
 
 

@@ -98,6 +98,46 @@ def test_lift_of_full_image_is_identity():
     assert pre.vol_sq == craig_basis(p).vol_sq
 
 
+def test_lift_solves_nothing_over_gf2(monkeypatch):
+    # Codewords lift in closed form: once the code is built (its rank check
+    # eliminates over GF(2)), the lift runs no GF(q) elimination.
+    import latpack.codes as codes
+
+    p = CraigParams(31, 1, 37)
+    code = extend_parity(LinearCode(CodeSpec(2, 31, 2, 8, CONSTRUCTED),
+                                    [[1] * 8 + [0] * 23, [0] * 23 + [1] * 8]))
+
+    def refuse(*args):
+        raise AssertionError("lift reached codes._gf_eliminate")
+
+    monkeypatch.setattr(codes, "_gf_eliminate", refuse)
+    r = lift_sublattice(p, code)
+    assert r.lattice.vol_sq == craig_basis(p).vol_sq << (2 * 29)
+
+
+@pytest.mark.parametrize("dim", [52, 60, 84, 85, 86, 120, 144, 160, 168])
+def test_table2_small_k_rows_as_lifted_lattices(dim):
+    # Table 2's k <= 2 records as explicit lattices: the [n, 1, n] repetition
+    # code, and at dim 168 the [3, 2, 2] code repeated 56 times, which is
+    # [168, 2, 112] with 112 >= 8m = 104.
+    row = next(r for r in table_rows(2) if r.dim == dim)
+    n, m, l, k = row.dim, row.m, row.l, row.k
+    assert k == (2 if n == 168 else 1)
+    if k == 1:
+        code = repetition(n)
+    else:
+        code = LinearCode(CodeSpec(2, n, 2, 112, CONSTRUCTED),
+                          [[1, 0, 1] * (n // 3), [0, 1, 1] * (n // 3)])
+    assert code.spec.d >= 8 * m
+    p = CraigParams(n, m, l)
+    r = lift_with_length_n_code(p, code)
+    vol_sq = l ** (2 * (m - 1)) * (n + 1) * 4 ** (n - k)
+    assert r.lattice.rank == n
+    assert r.lattice.vol_sq == vol_sq
+    assert delta_sq(center_density_lb(p, k)) == delta_sq(r.density)
+    assert delta_sq(r.density) == Fraction((2 * m) ** n, vol_sq)
+
+
 def test_lift_density_consistency_invariant():
     # density equals (sqrt(8m)/2)^n / sqrt(gram) whenever the basis exists
     p = CraigParams(11, 1, 13)

@@ -19,7 +19,11 @@ Echelon bases solve by back-substitution along their own pivots, checked
 against solves through the reference HNF (`tests/hnf_reference.py`); rank
 N-1 sum-zero echelon bases take their Gram determinant from their pivots,
 checked against the Bareiss oracle, and every other basis still reaches
-`gso_extend`.
+`gso_extend`.  The one Gray-code codeword walk that serves every field, and
+the concatenated rows built from the same scaled rows, are checked against
+the recursive walk and the symbol-by-symbol builder they replaced
+(`tests/codes_reference.py`); closed-form preimage lattices are checked
+against the GF(2) solve per codeword (`tests/lift_reference.py`).
 """
 
 import itertools
@@ -33,14 +37,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 from latpack import exactnum
 from latpack.codes import (
-    gf_add,
+    CONSTRUCTED,
+    CodeSpec,
+    LinearCode,
+    concatenate,
     gf_mul,
     gf_rank,
     gf_solve,
-    gf_solver,
     gv_exists,
     gv_max_k,
     gv_max_ks,
+    min_distance,
 )
 from latpack.craig import CraigParams, LogDensity, craig_basis, membership
 from latpack.errors import ParameterError, RankError
@@ -60,12 +67,14 @@ from latpack.exactnum import (
     next_prime,
     solve_left,
 )
-from latpack.lift import _candidate_ms
+from latpack.lift import _candidate_ms, _preimage_lattice
 from latpack.records import RecordEntry, RecordTable, compare
 
 import binom_reference
+import codes_reference
 import gram_reference
 import hnf_reference
+import lift_reference
 import log2_reference
 
 settings.register_profile("latpack", max_examples=150, deadline=None)
@@ -301,7 +310,7 @@ def test_solve_left_agrees_with_membership(case):
 def combine(q, coeffs, rows):
     out = [0] * len(rows[0])
     for c, row in zip(coeffs, rows):
-        out = [gf_add(a, gf_mul(q, c, b)) for a, b in zip(out, row)]
+        out = [a ^ gf_mul(q, c, b) for a, b in zip(out, row)]
     return out
 
 
@@ -338,7 +347,7 @@ def _gf_eliminate_per_entry(q, work, ncols):
         for i in range(len(work)):
             if i != rank and work[i][c]:
                 f = work[i][c]
-                work[i] = [gf_add(x, gf_mul(q, f, y)) for x, y in zip(work[i], work[rank])]
+                work[i] = [x ^ gf_mul(q, f, y) for x, y in zip(work[i], work[rank])]
         pivots.append(c)
     return pivots
 
@@ -351,24 +360,75 @@ def _gf_solve_per_entry(q, rows, target):
     acc = list(target) + [0] * k
     for c, row in zip(pivots, aug):
         f = acc[c]
-        acc = [gf_add(a, gf_mul(q, f, b)) for a, b in zip(acc, row)]
+        acc = [a ^ gf_mul(q, f, b) for a, b in zip(acc, row)]
     return None if any(acc[:n]) else acc[n:]
 
 
 @given(st.sampled_from([2, 4, 8]), st.data())
-def test_gf_solver_and_rank_match_per_entry_elimination(q, data):
+def test_gf_solve_and_rank_match_per_entry_elimination(q, data):
     k = data.draw(st.integers(1, 6))
     n = data.draw(st.integers(1, 8))
     symbol = st.integers(0, q - 1)
     rows = data.draw(st.lists(st.lists(symbol, min_size=n, max_size=n), min_size=k, max_size=k))
     assert gf_rank(q, rows) == len(_gf_eliminate_per_entry(q, [list(r) for r in rows], n))
-    solve = gf_solver(q, rows)
     for _ in range(3):
         if data.draw(st.booleans()):
             target = combine(q, data.draw(st.lists(symbol, min_size=k, max_size=k)), rows)
         else:
             target = data.draw(st.lists(symbol, min_size=n, max_size=n))
-        assert solve(target) == _gf_solve_per_entry(q, rows, target)
+        assert gf_solve(q, rows, target) == _gf_solve_per_entry(q, rows, target)
+
+
+@st.composite
+def generators(draw, q, k, max_n):
+    """A full-rank k x n generator matrix over GF(q), k <= n <= max_n."""
+    n = draw(st.integers(k, max_n))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=k, max_size=k))
+    assume(gf_rank(q, rows) == k)
+    return rows
+
+
+@given(st.sampled_from([2, 4, 8]), st.data())
+def test_min_distance_and_concatenate_match_reference_walks(q, data):
+    # Every field walks the GF(2) span of its alpha^t-scaled rows; the
+    # reference walks the GF(q) span by recursion and builds the
+    # concatenated rows symbol by symbol.
+    b = q.bit_length() - 1
+    k = data.draw(st.integers(1, {2: 6, 4: 3, 8: 2}[q]))
+    rows = data.draw(generators(q, k, 7))
+    outer = LinearCode(CodeSpec(q, len(rows[0]), k, 1, CONSTRUCTED), rows)
+    assert min_distance(outer) == codes_reference.min_distance(q, rows)
+    inner_rows = data.draw(generators(2, b, b + 3))
+    inner = LinearCode(CodeSpec(2, len(inner_rows[0]), b, 1, CONSTRUCTED), inner_rows)
+    got = concatenate(outer, inner)
+    want = codes_reference.concatenated_rows(q, rows, inner_rows)
+    assert got.generator == want
+    assert got.spec.d == codes_reference.min_distance(2, want)
+
+
+@st.composite
+def preimage_cases(draw):
+    """Craig parameters with l one of the first two odd primes >= n+1, and even-weight rows."""
+    n = draw(st.integers(2, 30))
+    m = draw(st.integers(1, (n + 1) // 2))
+    first = next_prime(n + 1)  # odd, as n + 1 >= 3
+    l = draw(st.sampled_from([first, next_prime(first + 1)]))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    rows = [r + [sum(r) % 2] for r in draw(st.lists(bits, min_size=1, max_size=6))]
+    if draw(st.booleans()):  # a dependent row
+        rows.append([x ^ y for x, y in zip(rows[0], rows[-1])])
+    return CraigParams(n, m, l), rows
+
+
+@given(preimage_cases())
+@settings(max_examples=60)
+def test_closed_form_lift_matches_gf2_solve_reference(case):
+    p, rows = case
+    got = _preimage_lattice(p, rows)
+    want = lift_reference.preimage_lattice(p, rows)
+    assert got.basis == want.basis
+    assert got.vol_sq == want.vol_sq
 
 
 def _records():
