@@ -107,24 +107,23 @@ def cmd_construct(args, out):
 
 def cmd_density(args, out):
     p = _params(args)
-    k = args.k or 0
-    density = craig.center_density_lb(p, k)
-    guarantee = p.norm_guarantee()  # 2m, which needs a prime l
-    if k:
-        guarantee *= 4  # the lifted code's distance 8m
-    _density_block(out, p, k, density, guarantee, args.precision)
+    density = craig.center_density_lb(p, args.k)
+    _density_block(out, p, args.k, density, p.norm_guarantee(args.k), args.precision)
 
 
 def cmd_lift(args, out):
     p = _params(args)
+    lifts = {p.n: lift.lift_with_length_n_code, p.n + 1: lift.lift_sublattice}
+
+    def check(q, n):  # what the header decides, before the codeword walk
+        if n not in lifts:
+            raise ParameterError(f"code length {n} matches neither n nor n+1")
+        if q != 2:
+            raise ParameterError("code must be binary")
+
     with open(args.code, errors="replace") as fh:
-        code = codes.read_generator(fh)
-    if code.n == p.n:
-        result = lift.lift_with_length_n_code(p, code)
-    elif code.n == p.n + 1:
-        result = lift.lift_sublattice(p, code)
-    else:
-        raise ParameterError(f"code length {code.n} matches neither n nor n+1")
+        code = codes.read_generator(fh, check)
+    result = lifts[code.n](p, code)
     out.write(f"code: {result.code}\n")
     _density_block(out, p, result.code.k, result.density, result.min_norm_guarantee,
                    args.precision)

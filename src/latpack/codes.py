@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib.resources import files
 
 from .errors import CapacityError, ParameterError, ParseError
@@ -236,20 +236,25 @@ def min_distance(c: LinearCode) -> int:
     return best
 
 
+def _enumerated(q: int, n: int, rows) -> LinearCode:
+    """The code of length n spanned by ``rows``, built once; one walk then fills in d."""
+    code = LinearCode(CodeSpec(q, n, len(rows), 1, CONSTRUCTED), rows)
+    code.spec = replace(code.spec, d=min_distance(code))
+    return code
+
+
 def extend_parity(c: LinearCode) -> LinearCode:
-    """Append an overall parity bit; weights become even, d rounds up to even."""
+    """Append an overall parity bit: weights become even and d becomes d + (d mod 2).
+
+    That d is exact when c's is (MacWilliams & Sloane, ch. 1), so the status
+    carries over: an odd d's weight-d words gain a 1 and all others already
+    weigh d + 1 or more; an even d's weight-d words keep their weight.
+    """
     if c.q != 2:
         raise ParameterError("parity extension applies to binary codes only")
     rows = [row + [sum(row) % 2] for row in c.generator]
     d = c.spec.d + (c.spec.d % 2)
-    status = c.spec.status
-    if 2**c.k <= ENUMERATION_CAP and status == CONSTRUCTED:
-        out = LinearCode(CodeSpec(2, c.n + 1, c.k, d, CONSTRUCTED), rows)
-        exact = min_distance(out)
-        if exact != d:
-            out = LinearCode(CodeSpec(2, c.n + 1, c.k, exact, CONSTRUCTED), rows)
-        return out
-    return LinearCode(CodeSpec(2, c.n + 1, c.k, d, status), rows)
+    return LinearCode(CodeSpec(2, c.n + 1, c.k, d, c.spec.status), rows)
 
 
 def concatenate(outer, inner: LinearCode):
@@ -278,11 +283,10 @@ def concatenate(outer, inner: LinearCode):
         words.append([x ^ y for x, y in zip(words[s & (s - 1)], inner.generator[low_bit])])
     rows = [[x for s in row for x in words[s]] for row in _scaled_rows(ospec.q, outer.generator)]
     if 2**k_out <= ENUMERATION_CAP:
-        code = LinearCode(CodeSpec(2, n_out, k_out, d_out, CONSTRUCTED), rows)
-        exact = min_distance(code)
-        if exact < d_out:
+        code = _enumerated(2, n_out, rows)
+        if code.spec.d < d_out:
             raise ParameterError("concatenated distance fell below the product bound")
-        return LinearCode(CodeSpec(2, n_out, k_out, exact, CONSTRUCTED), rows)
+        return code
     return LinearCode(CodeSpec(2, n_out, k_out, d_out, TABLE_KNOWN), rows)
 
 
@@ -444,8 +448,12 @@ def write_generator(code: LinearCode, fh) -> None:
     write_int_rows(fh, [code.q, code.n, code.k], code.generator)
 
 
-def read_generator(fh) -> LinearCode:
-    """Read the write_generator format; the minimum distance is enumerated."""
-    (q, n, k), rows = read_int_rows(fh, "generator", "q n k")
-    d = min_distance(LinearCode(CodeSpec(q, n, k, 1, TABLE_KNOWN), rows))
-    return LinearCode(CodeSpec(q, n, k, d, CONSTRUCTED), rows)
+def read_generator(fh, check=None) -> LinearCode:
+    """Read the write_generator format; the minimum distance is enumerated.
+
+    ``check(q, n)``, if given, may reject the header's q and n before the walk.
+    """
+    (q, n, _), rows = read_int_rows(fh, "generator", "q n k")
+    if check is not None:
+        check(q, n)
+    return _enumerated(q, n, rows)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import CapacityError, ParameterError
 from .exactnum import (
@@ -78,11 +79,11 @@ class CraigParams:
         if self.l < self.n + 1:
             raise ParameterError(f"l must be >= n+1, got l={self.l} n={self.n}")
 
-    def norm_guarantee(self) -> int:
-        """Guaranteed minimum squared norm 2m; requires prime l."""
+    def norm_guarantee(self, k: int = 0) -> int:
+        """Guaranteed minimum squared norm, given prime l: 2m, or 8m with a lifted code (k > 0)."""
         if not is_prime(self.l):
             raise ParameterError("norm bound requires a prime modulus l")
-        return 2 * self.m
+        return 8 * self.m if k else 2 * self.m
 
 
 class IntegerLattice:
@@ -161,31 +162,24 @@ def craig_basis(p: CraigParams) -> IntegerLattice:
     return IntegerLattice(IntMatrix(rows))
 
 
-def _derivative_at_one(coeffs, order: int) -> int:
-    """f^(order)(1) for f = sum coeffs[j] x^j, exact."""
-    total = 0
-    for j, a in enumerate(coeffs):
-        if a == 0 or j < order:
-            continue
-        ff = 1
-        for t in range(order):
-            ff *= j - t
-        total += a * ff
-    return total
-
-
 def membership(p: CraigParams, f) -> bool:
-    """Polynomial membership test: f(1) = 0 and f^(i)(1) = 0 mod l for i < m."""
+    """Polynomial membership test: f(1) = 0 and f^(i)(1) = 0 mod l for i < m.
+
+    Running sums of the coefficients, highest degree first, divide by x - 1:
+    the quotient, then the remainder.  Division i (from 0) leaves f^(i)(1)/i!,
+    and i! is a unit mod the prime l >= n+1 > m-1.  f(1) = 0 is checked
+    exactly and every later division runs mod l.
+    """
     if len(f) != p.n + 1:
         raise ParameterError(f"vector must have length n+1 = {p.n + 1}")
     if not is_prime(p.l):
         raise ParameterError("membership criterion requires a prime modulus l")
-    if sum(f) != 0:
-        return False
-    for i in range(1, p.m):
-        if _derivative_at_one(f, i) % p.l != 0:
+    sums = list(accumulate(f[::-1]))
+    for _ in range(1, p.m):
+        if sums[-1]:
             return False
-    return True
+        sums = [s % p.l for s in accumulate(sums[:-1])]
+    return sums[-1] == 0
 
 
 def center_density_lb(p: CraigParams, k: int, provenance: str | None = None) -> LogDensity:

@@ -139,13 +139,11 @@ def lift_sublattice(p: CraigParams, V: LinearCode) -> LiftResult:
     lattice = None
     if p.n + 1 <= AMBIENT_CAP:
         lattice = _preimage_lattice(p, V.generator)
-    return LiftResult(p, V.spec, density, 8 * p.m, lattice)
+    return LiftResult(p, V.spec, density, p.norm_guarantee(V.k), lattice)
 
 
 def lift_with_length_n_code(p: CraigParams, c: LinearCode) -> LiftResult:
-    """Parity-extend a binary [n, k, >= 8m] code, then lift the extension."""
-    if c.q != 2:
-        raise ParameterError("code must be binary")
+    """Parity-extend a binary [n, k, >= 8m] code (extend_parity rejects any other q), then lift."""
     if c.n != p.n:
         raise ParameterError(f"code length must be n = {p.n}")
     if c.spec.d < 8 * p.m:
@@ -238,7 +236,8 @@ def mw_beater_search(p: int) -> LiftResult:
     mw = mordell_weil_density(p)
     if compare_power_products(mw.factors, density.factors) >= 0:
         raise ParameterError(f"construction does not beat the reference density at p={p}")
-    return LiftResult(params, CodeSpec(2, n, k, d, codes.GV_EXISTS), density, 8 * m)
+    return LiftResult(params, CodeSpec(2, n, k, d, codes.GV_EXISTS), density,
+                      params.norm_guarantee(k))
 
 
 def pipeline_24n(N: int) -> LiftResult:
@@ -258,7 +257,8 @@ def pipeline_24n(N: int) -> LiftResult:
     l = next_prime(N + 1)
     params = CraigParams(N, m, l)
     density = center_density_lb(params, k, "lifted")
-    return LiftResult(params, CodeSpec(2, N, k, d, codes.GV_EXISTS), density, 8 * m)
+    return LiftResult(params, CodeSpec(2, N, k, d, codes.GV_EXISTS), density,
+                      params.norm_guarantee(k))
 
 
 def _candidate_ms(n: int) -> list[int]:
@@ -299,10 +299,8 @@ def sweep_dimension(n: int) -> LiftResult:
         if best is None or compare_power_products(density.factors, best[2].factors) > 0:
             best = (params, k, density)
     params, k, density = best
-    m = params.m
-    if k > 0:
-        return LiftResult(params, CodeSpec(2, n, k, 8 * m, codes.GV_EXISTS), density, 8 * m)
-    return LiftResult(params, None, density, 2 * m)
+    code = CodeSpec(2, n, k, 8 * params.m, codes.GV_EXISTS) if k else None
+    return LiftResult(params, code, density, params.norm_guarantee(k))
 
 
 def construction_a_density(c: CodeSpec) -> LogDensity:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import latpack
-from latpack import cli, lift
+from latpack import cli, codes, lift
 from latpack.cli import run
 from latpack.craig import MAX_L, MAX_N, read_basis
 from latpack.exactnum import gram_det, is_prime, next_prime
@@ -61,6 +61,50 @@ def test_lift_subcommand(tmp_path):
     code, out = invoke("lift", "--n", "12", "--m", "1", "--l", "13", "--code", str(gen))
     assert code == 0
     assert "k=1" in out and "constructed basis rank 12" in out
+
+
+def _count_walks(monkeypatch) -> list:
+    """Record (n, k) of every code whose codewords `codes.min_distance` walks."""
+    walks = []
+    walk = codes.min_distance
+
+    def counted(c):
+        walks.append((c.n, c.k))
+        return walk(c)
+
+    monkeypatch.setattr(codes, "min_distance", counted)
+    return walks
+
+
+def test_lift_walks_each_code_once(tmp_path, monkeypatch):
+    # Parity extension takes d + (d mod 2) by rule, so a length-n code is
+    # walked once, when it is read; [31, 2, 9] extends to [32, 2, 10].
+    walks = _count_walks(monkeypatch)
+    gen = tmp_path / "odd.txt"
+    gen.write_text("2 31 2\n" + " ".join(["1"] * 9 + ["0"] * 22) + "\n"
+                   + " ".join(["0"] * 22 + ["1"] * 9) + "\n")
+    code, out = invoke("lift", "--n", "31", "--m", "1", "--l", "37", "--code", str(gen))
+    assert code == 0
+    assert "code: [31,2,9]" in out and "min norm guarantee: 8" in out
+    assert walks == [(31, 2)]
+    walks.clear()
+    gen.write_text("2 32 2\n" + " ".join(["1"] * 10 + ["0"] * 22) + "\n"
+                   + " ".join(["0"] * 22 + ["1"] * 10) + "\n")
+    code, out = invoke("lift", "--n", "31", "--m", "1", "--l", "37", "--code", str(gen))
+    assert code == 0 and "code: [32,2,10]" in out
+    assert walks == [(32, 2)]
+
+
+@pytest.mark.parametrize("q, n, k", [(4, 16, 12), (4, 16, 14), (2, 18, 3)])
+def test_lift_rejects_by_header_before_any_walk(tmp_path, monkeypatch, q, n, k):
+    # Non-binary or wrong-length files exit 2 before a codeword is visited;
+    # 4^14 codewords exceed the enumeration cap, which is never reached.
+    walks = _count_walks(monkeypatch)
+    gen = tmp_path / "gen.txt"
+    rows = [[int(j == i) if j < k else (i + j) % q for j in range(n)] for i in range(k)]  # [I | A]
+    gen.write_text(f"{q} {n} {k}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    assert invoke("lift", "--n", "15", "--m", "1", "--l", "17", "--code", str(gen)) == (2, "")
+    assert walks == []
 
 
 def test_rows_past_the_header_count_exit_2(tmp_path):

@@ -23,7 +23,10 @@ checked against the Bareiss oracle, and every other basis still reaches
 the concatenated rows built from the same scaled rows, are checked against
 the recursive walk and the symbol-by-symbol builder they replaced
 (`tests/codes_reference.py`); closed-form preimage lattices are checked
-against the GF(2) solve per codeword (`tests/lift_reference.py`).
+against the GF(2) solve per codeword (`tests/lift_reference.py`).  The
+parity rule d + (d mod 2) is checked against a walk of the extended code,
+and membership by repeated division by x - 1 against the derivative
+criterion it replaced (`tests/craig_reference.py`).
 """
 
 import itertools
@@ -41,6 +44,7 @@ from latpack.codes import (
     CodeSpec,
     LinearCode,
     concatenate,
+    extend_parity,
     gf_mul,
     gf_rank,
     gf_solve,
@@ -72,6 +76,7 @@ from latpack.records import RecordEntry, RecordTable, compare
 
 import binom_reference
 import codes_reference
+import craig_reference
 import gram_reference
 import hnf_reference
 import lift_reference
@@ -307,6 +312,40 @@ def test_solve_left_agrees_with_membership(case):
         assert [sum(c * r[j] for c, r in zip(x, rows)) for j in range(len(v))] == v
 
 
+@st.composite
+def craig_vectors_near_and_off(draw):
+    """A(n, m, l) with m up to (n+1)/2, and a lattice vector, a perturbed one or a random one.
+
+    A perturbation adds c * (x-1)^i * x^j with 0 < i < m and c a unit mod l,
+    which keeps f(1) = 0 and the Taylor coefficients below i, so the first
+    i divisions by x - 1 pass and the next one decides.
+    """
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(1, (n + 1) // 2))
+    first = next_prime(n + 1)
+    p = CraigParams(n, m, draw(st.sampled_from([first, next_prime(first + 1)])))
+    kind = draw(st.sampled_from(["member", "perturbed", "random"]))
+    if kind == "random":
+        return p, draw(st.lists(st.integers(-p.l, p.l), min_size=n + 1, max_size=n + 1))
+    rows = craig_basis(p).basis.m
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    v = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n + 1)]
+    if kind == "perturbed" and m > 1:
+        i = draw(st.integers(1, m - 1))
+        j = draw(st.integers(0, n - i))
+        c = draw(st.integers(1, p.l - 1)) * draw(st.sampled_from([1, -1]))
+        bump = craig_reference.binomial_row(i, n + 1)
+        v = [a + c * b for a, b in zip(v, [0] * j + bump[: n + 1 - j])]
+    return p, v
+
+
+@given(craig_vectors_near_and_off())
+@settings(max_examples=300)
+def test_membership_matches_derivative_reference(case):
+    p, v = case
+    assert membership(p, v) == craig_reference.membership(p.m, p.l, v)
+
+
 def combine(q, coeffs, rows):
     out = [0] * len(rows[0])
     for c, row in zip(coeffs, rows):
@@ -405,6 +444,19 @@ def test_min_distance_and_concatenate_match_reference_walks(q, data):
     want = codes_reference.concatenated_rows(q, rows, inner_rows)
     assert got.generator == want
     assert got.spec.d == codes_reference.min_distance(2, want)
+
+
+@given(st.data())
+def test_parity_extension_keeps_d_exact(data):
+    # d + (d mod 2) is the extended code's exact distance, so no walk is needed.
+    k = data.draw(st.integers(1, 8))
+    rows = data.draw(generators(2, k, 16))
+    n = len(rows[0])
+    probe = LinearCode(CodeSpec(2, n, k, 1, CONSTRUCTED), rows)
+    code = LinearCode(CodeSpec(2, n, k, min_distance(probe), CONSTRUCTED), rows)
+    ext = extend_parity(code)
+    assert ext.spec.d == min_distance(ext)
+    assert ext.spec.status == CONSTRUCTED
 
 
 @st.composite
