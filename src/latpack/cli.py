@@ -79,7 +79,9 @@ def _params(args) -> craig.CraigParams:
     return craig.CraigParams(args.n, m, l)
 
 
-def _density_block(out, p, k, density, guarantee, digits):
+def _density_block(out, p, k, digits):
+    # Both raise on bad input (k out of range, l not prime) before any output.
+    density, guarantee = craig.center_density_lb(p, k), p.norm_guarantee(k)
     out.write(f"params: n={p.n} m={p.m} l={p.l} k={k}\n")
     out.write(f"log2 center density: {density.log2(digits)} ({density.provenance})\n")
     out.write(f"min norm guarantee: {guarantee}\n")
@@ -94,8 +96,8 @@ def _density_block(out, p, k, density, guarantee, digits):
 
 def cmd_construct(args, out):
     p = _params(args)
-    if p.n + 1 > lift.AMBIENT_CAP:
-        raise CapacityError(f"basis construction capped at ambient {lift.AMBIENT_CAP}")
+    if p.n + 1 > craig.BASIS_CAP:
+        raise CapacityError(f"basis construction capped at ambient {craig.BASIS_CAP}")
     lattice = craig.craig_basis(p)
     if args.out:
         with open(args.out, "w") as fh:
@@ -106,9 +108,7 @@ def cmd_construct(args, out):
 
 
 def cmd_density(args, out):
-    p = _params(args)
-    density = craig.center_density_lb(p, args.k)
-    _density_block(out, p, args.k, density, p.norm_guarantee(args.k), args.precision)
+    _density_block(out, _params(args), args.k, args.precision)
 
 
 def cmd_lift(args, out):
@@ -125,8 +125,7 @@ def cmd_lift(args, out):
         code = codes.read_generator(fh, check)
     result = lifts[code.n](p, code)
     out.write(f"code: {result.code}\n")
-    _density_block(out, p, result.code.k, result.density, result.min_norm_guarantee,
-                   args.precision)
+    _density_block(out, p, result.k, args.precision)
     if result.lattice is not None:
         out.write(f"constructed basis rank {result.lattice.rank}; "
                   f"vol^2 = {result.lattice.vol_sq}\n")
@@ -165,24 +164,20 @@ def cmd_table(args, out):
 
 def cmd_sweep(args, out):
     result = lift.sweep_dimension(args.n)
-    k = result.code.k if result.code else 0
-    _density_block(out, result.params, k, result.density, result.min_norm_guarantee,
-                   args.precision)
+    _density_block(out, result.params, result.k, args.precision)
 
 
 def cmd_mwbeat(args, out):
     result = lift.mw_beater_search(args.p)
     mw = lift.mordell_weil_density(args.p)
     out.write(f"dimension {result.params.n}: code {result.code}\n")
-    _density_block(out, result.params, result.code.k, result.density,
-                   result.min_norm_guarantee, args.precision)
+    _density_block(out, result.params, result.k, args.precision)
     out.write(f"reference density (formula): {mw.log2(args.precision)}\n")
 
 
 def cmd_pipeline24(args, out):
     result = lift.pipeline_24n(args.dim)
-    _density_block(out, result.params, result.code.k, result.density,
-                   result.min_norm_guarantee, args.precision)
+    _density_block(out, result.params, result.k, args.precision)
 
 
 def cmd_conditional(args, out):

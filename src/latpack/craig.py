@@ -44,7 +44,7 @@ __all__ = [
     "read_basis",
 ]
 
-SECTION_RANK_CAP = 512
+BASIS_CAP = 512  # largest ambient dimension of a basis built by construct, lift, verify_section
 # Largest n and l accepted.  They bound the exact integers of a density
 # (m^n and l^(2(m-1)) have at most about n * log2(l) bits), so every
 # subcommand answers in seconds; the published tables stop at n = 16380.
@@ -228,8 +228,8 @@ def verify_section(p: CraigParams) -> bool:
         raise ParameterError("verify_section requires a prime l")
     if p.l - 1 < p.n:
         raise ParameterError("need l-1 >= n")
-    if p.l - 1 > SECTION_RANK_CAP:
-        raise CapacityError(f"section check capped at rank {SECTION_RANK_CAP}, got {p.l - 1}")
+    if p.l > BASIS_CAP:
+        raise CapacityError(f"section check capped at ambient {BASIS_CAP}, got {p.l}")
     small = craig_basis(p)
     big_params = CraigParams(p.l - 1, p.m, p.l)
     big = craig_basis(big_params)

@@ -25,6 +25,7 @@ from .exactnum import (
     next_prime,
 )
 from .craig import (
+    BASIS_CAP,
     CraigParams,
     IntegerLattice,
     LogDensity,
@@ -63,17 +64,28 @@ __all__ = [
     "construction_a_density",
 ]
 
-AMBIENT_CAP = 512
 SWEEP_WINDOW = 3
 
 
 @dataclass
 class LiftResult:
+    """A lifted (or, with no code, bare) Craig lattice; density and guarantee follow from k."""
+
     params: CraigParams
-    code: CodeSpec
-    density: LogDensity
-    min_norm_guarantee: int
+    code: CodeSpec | None
     lattice: IntegerLattice | None = None
+
+    @property
+    def k(self) -> int:
+        return self.code.k if self.code else 0
+
+    @property
+    def density(self) -> LogDensity:
+        return center_density_lb(self.params, self.k)
+
+    @property
+    def min_norm_guarantee(self) -> int:
+        return self.params.norm_guarantee(self.k)
 
 
 @dataclass
@@ -84,9 +96,7 @@ class ConditionalVerdict:
 
 
 def reduce_mod2(p: CraigParams, v) -> list[int]:
-    """Coordinatewise mod-2 image of a lattice vector."""
-    if p.l % 2 == 0:
-        raise ParameterError("mod-2 reduction requires odd l")
+    """Coordinatewise mod-2 image of a lattice vector (membership requires l prime, so odd)."""
     if not membership(p, v):
         raise ParameterError("vector is not a member of the lattice")
     return [x % 2 for x in v]
@@ -119,10 +129,10 @@ def lift_sublattice(p: CraigParams, V: LinearCode) -> LiftResult:
     """Lift an even-weight [n+1, k, >= 8m] subcode into A(n, m, l).
 
     The returned density is exact; the basis itself is constructed only when
-    the ambient dimension fits under AMBIENT_CAP (the density formula does
-    not need it).
+    the ambient dimension fits under BASIS_CAP (the density formula does not
+    need it).  A prime l >= n+1 >= 3 is odd.
     """
-    if p.l % 2 == 0 or not is_prime(p.l):
+    if not is_prime(p.l):
         raise ParameterError("lifting requires an odd prime l")
     if V.q != 2:
         raise ParameterError("subcode must be binary")
@@ -135,11 +145,8 @@ def lift_sublattice(p: CraigParams, V: LinearCode) -> LiftResult:
         raise ParameterError(
             f"subcode distance {V.spec.d} is below the required 8m = {8 * p.m}"
         )
-    density = center_density_lb(p, V.k, provenance="lifted")
-    lattice = None
-    if p.n + 1 <= AMBIENT_CAP:
-        lattice = _preimage_lattice(p, V.generator)
-    return LiftResult(p, V.spec, density, p.norm_guarantee(V.k), lattice)
+    lattice = _preimage_lattice(p, V.generator) if p.n + 1 <= BASIS_CAP else None
+    return LiftResult(p, V.spec, lattice)
 
 
 def lift_with_length_n_code(p: CraigParams, c: LinearCode) -> LiftResult:
@@ -231,13 +238,10 @@ def mw_beater_search(p: int) -> LiftResult:
     k_floor = 3776 * (p - 1) // 10000
     if k < k_floor:
         raise ParameterError("exact GV scan fell below the guaranteed dimension")
-    params = CraigParams(n, m, l)
-    density = center_density_lb(params, k, "lifted")
-    mw = mordell_weil_density(p)
-    if compare_power_products(mw.factors, density.factors) >= 0:
+    result = LiftResult(CraigParams(n, m, l), CodeSpec(2, n, k, d, codes.GV_EXISTS))
+    if compare_power_products(mordell_weil_density(p).factors, result.density.factors) >= 0:
         raise ParameterError(f"construction does not beat the reference density at p={p}")
-    return LiftResult(params, CodeSpec(2, n, k, d, codes.GV_EXISTS), density,
-                      params.norm_guarantee(k))
+    return result
 
 
 def pipeline_24n(N: int) -> LiftResult:
@@ -254,11 +258,8 @@ def pipeline_24n(N: int) -> LiftResult:
         raise ParameterError("8m exceeds the code distance 6t")
     if not gv_exists(N, k, d):
         raise ParameterError(f"GV cross-check failed for N={N}")
-    l = next_prime(N + 1)
-    params = CraigParams(N, m, l)
-    density = center_density_lb(params, k, "lifted")
-    return LiftResult(params, CodeSpec(2, N, k, d, codes.GV_EXISTS), density,
-                      params.norm_guarantee(k))
+    return LiftResult(CraigParams(N, m, next_prime(N + 1)),
+                      CodeSpec(2, N, k, d, codes.GV_EXISTS))
 
 
 def _candidate_ms(n: int) -> list[int]:
@@ -298,9 +299,9 @@ def sweep_dimension(n: int) -> LiftResult:
         density = center_density_lb(params, k)
         if best is None or compare_power_products(density.factors, best[2].factors) > 0:
             best = (params, k, density)
-    params, k, density = best
+    params, k, _ = best
     code = CodeSpec(2, n, k, 8 * params.m, codes.GV_EXISTS) if k else None
-    return LiftResult(params, code, density, params.norm_guarantee(k))
+    return LiftResult(params, code)
 
 
 def construction_a_density(c: CodeSpec) -> LogDensity:

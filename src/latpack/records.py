@@ -92,9 +92,14 @@ def builtin_records() -> RecordTable:
 
 @dataclass
 class CompareVerdict:
-    relation: str  # beats | ties | below
     margin: str  # rendered to 4 decimals
     against: RecordEntry
+
+    @property
+    def relation(self) -> str:
+        """beats, ties or below: the sign of the margin as rendered."""
+        shown = Fraction(self.margin)
+        return "beats" if shown > 0 else "below" if shown < 0 else "ties"
 
 
 def _as_log2_fraction(candidate) -> Fraction:
@@ -116,10 +121,7 @@ def compare(dim: int, candidate, records: RecordTable | None = None) -> CompareV
     best = records.best_record(dim)
     if best is None:
         raise ParameterError(f"no record stored for dimension {dim}")
-    rendered = _fmt4(_as_log2_fraction(candidate) - best.value())
-    shown = Fraction(rendered)
-    relation = "beats" if shown > 0 else "below" if shown < 0 else "ties"
-    return CompareVerdict(relation, rendered, best)
+    return CompareVerdict(_fmt4(_as_log2_fraction(candidate) - best.value()), best)
 
 
 @dataclass
@@ -138,7 +140,11 @@ class TableRow:
 class TableReport:
     table_id: int
     rows: list[TableRow] = field(default_factory=list)
-    ledger: list[TableRow] = field(default_factory=list)
+
+    @property
+    def ledger(self) -> list[TableRow]:
+        """The discrepancy ledger: the rows beyond tolerance."""
+        return [r for r in self.rows if not r.within]
 
 
 @dataclass(frozen=True)
@@ -182,7 +188,7 @@ def _compute_row(raw: _RawRow):
     """Exact log2-density Fraction for one table row, plus a note string."""
     if raw.kind == "lift":
         params = CraigParams(raw.dim, raw.m, raw.l)
-        val = center_density_lb(params, raw.k, "lifted")
+        val = center_density_lb(params, raw.k)
         return val.log2_fraction(), f"(m={raw.m}, l={raw.l}, k={raw.k})"
     if raw.kind == "conditional":
         params = CraigParams(raw.dim, raw.m, raw.l)
@@ -208,7 +214,7 @@ def _compute_row(raw: _RawRow):
         result = lift_mod.mw_beater_search(p)
         params = result.params
         k_stated = 3776 * (p - 1) // 10000
-        val = center_density_lb(params, k_stated, "lifted").log2_fraction()
+        val = center_density_lb(params, k_stated).log2_fraction()
         return val, (
             f"(p={p}, m={params.m}, l={params.l}, k={k_stated}); exact GV k={result.code.k} "
             f"gives {result.density.log2(4)}"
@@ -220,9 +226,8 @@ def _compute_row(raw: _RawRow):
         )
     if raw.kind == "sweep":
         result = lift_mod.sweep_dimension(raw.dim)
-        k = result.code.k if result.code else 0
         return result.density.log2_fraction(), (
-            f"sweep chose (m={result.params.m}, l={result.params.l}, k={k})"
+            f"sweep chose (m={result.params.m}, l={result.params.l}, k={result.k})"
         )
     raise ParameterError(f"unknown table row kind {raw.kind!r}")
 
@@ -243,12 +248,9 @@ def emit_table(table_id: int, tolerance: Fraction = AGREE_TOLERANCE) -> TableRep
             note = f"{note}; known {raw.known}{label}"
         elif raw.known_name:
             note = f"{note}; {raw.known_name}"
-        row = TableRow(
+        report.rows.append(TableRow(
             raw.table, raw.dim, raw.kind, _fmt4(val), raw.stated, _fmt4(diff), within, note
-        )
-        report.rows.append(row)
-        if not within:
-            report.ledger.append(row)
+        ))
     return report
 
 

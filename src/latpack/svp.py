@@ -57,14 +57,17 @@ class ReducedBasis:
 
 @dataclass
 class Certificate:
-    holds: bool
     bound: int
     norm: int
     witness: list | None  # shortest vector when the bound is violated
     # Enumeration nodes visited: the coefficients of each level's interval
     # that stay below the current bound, for one vector of each +-v pair
     # (A_n takes n(n+1)/2); the sign rule leaves the witness as it was.
-    nodes: int = 0
+    nodes: int
+
+    @property
+    def holds(self) -> bool:
+        return self.norm >= self.bound
 
 
 def _basis_rows(lattice) -> list[list[int]]:
@@ -210,6 +213,4 @@ def verify_min_norm(lattice, bound: int) -> Certificate:
     """Certificate that every nonzero vector has squared norm >= bound."""
     stats = {"nodes": 0}
     norm, witness = shortest_vector(lattice, stats)
-    if norm >= bound:
-        return Certificate(True, bound, norm, None, stats["nodes"])
-    return Certificate(False, bound, norm, witness, stats["nodes"])
+    return Certificate(bound, norm, None if norm >= bound else witness, stats["nodes"])

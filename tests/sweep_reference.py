@@ -4,22 +4,33 @@ This is the `sweep_dimension` that `latpack.lift` used before it walked the
 binomial row once and ranked candidates by factored densities: it calls
 `gv_max_k` once per m and compares the densities as expanded `Fraction`
 values.  It is copied unchanged but for reading each density's exact value
-from its {base: exponent} map.  It is a test oracle only.
+from its {base: exponent} map and returning its own record, whose density
+and guarantee it computes itself, so it shares nothing with `LiftResult`'s
+derived properties.  It is a test oracle only.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from latpack import codes
 from latpack.codes import CodeSpec, gv_max_k
-from latpack.craig import CraigParams, center_density_lb
+from latpack.craig import CraigParams, LogDensity, center_density_lb
 from latpack.errors import ParameterError
 from latpack.exactnum import expand_power_product, next_prime
-from latpack.lift import LiftResult, _candidate_ms
+from latpack.lift import _candidate_ms
 
 
-def sweep_dimension(n: int) -> LiftResult:
+@dataclass
+class SweepChoice:
+    params: CraigParams
+    code: CodeSpec | None
+    density: LogDensity
+    min_norm_guarantee: int
+
+
+def sweep_dimension(n: int) -> SweepChoice:
     """Best density over a bounded window of m, with k from GV and the code table.
 
     Deterministic tie-break: higher density, then smaller m, then smaller l.
@@ -28,7 +39,7 @@ def sweep_dimension(n: int) -> LiftResult:
         raise ParameterError("sweep requires n >= 8")
     table = codes.builtin_code_table()
     l = next_prime(n + 1)
-    best: LiftResult | None = None
+    best: SweepChoice | None = None
     best_value = None
     for m in _candidate_ms(n):
         need = 8 * m
@@ -44,7 +55,7 @@ def sweep_dimension(n: int) -> LiftResult:
             density = center_density_lb(params, 0, "plain")
             code = None
             guarantee = 2 * m
-        cand = LiftResult(params, code, density, guarantee)
+        cand = SweepChoice(params, code, density, guarantee)
         value = Fraction(*expand_power_product(density.factors))
         if best is None or best_value < value:
             best, best_value = cand, value

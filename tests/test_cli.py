@@ -27,6 +27,13 @@ def test_density_report():
     assert "n=52 m=6 l=53" in out
 
 
+@pytest.mark.parametrize("k", [[], ["--k", "1"]])
+def test_density_composite_l_prints_nothing(k):
+    # l = 54 is not prime, so there is no guarantee; it is refused before
+    # the first line is written.
+    assert invoke("density", "--n", "52", "--m", "6", "--l", "54", *k) == (2, "")
+
+
 def test_gv_report():
     code, out = invoke("gv", "--n", "4096", "--d", "1024")
     assert code == 0

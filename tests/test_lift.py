@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -173,7 +174,50 @@ def test_lift_with_length_n_code_density(monkeypatch):
     assert r.density.log2(3) == "10.705"
     assert r.lattice is not None  # 53 <= ambient cap
     assert r.code == repetition(52, 2).spec  # the length-n code, not its extension
-    assert len(calls) == 1  # the lift's density is reused, not recomputed
+    assert len(calls) == 1  # the lift computes none; the one read above computes one
+
+
+def test_lift_proves_l_prime_once(monkeypatch):
+    # The guarantee is derived when read, so the lift itself tests l once.
+    import latpack.craig as craig
+    import latpack.lift as lift
+    from latpack.exactnum import is_prime
+
+    code = extend_parity(repetition(7, 2))
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(lift, "is_prime", counting)
+    monkeypatch.setattr(craig, "is_prime", counting)
+    lift_sublattice(CraigParams(7, 1, 11), code)
+    assert calls == [11]
+
+
+_RESULTS = {
+    "lift_sublattice": lambda: lift_sublattice(CraigParams(7, 1, 11),
+                                               extend_parity(repetition(7, 2))),
+    "lift_with_length_n_code": lambda: lift_with_length_n_code(CraigParams(16, 2, 17),
+                                                               repetition(16, 2)),
+    "improve_craig_8x": lambda: improve_craig_8x(1399),
+    "mw_beater_search": lambda: mw_beater_search(1667),
+    "pipeline_24n": lambda: pipeline_24n(4104),
+    "sweep_dimension_9": lambda: sweep_dimension(9),
+    "sweep_dimension_149": lambda: sweep_dimension(149),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RESULTS))
+def test_lift_result_stores_only_what_it_cannot_derive(name):
+    r = _RESULTS[name]()
+    assert [f.name for f in dataclasses.fields(r)] == ["params", "code", "lattice"]
+    k = r.code.k if r.code else 0
+    assert r.k == k
+    assert r.density.factors == center_density_lb(r.params, k).factors
+    assert r.density.provenance == ("lifted" if k else "plain")
+    assert r.min_norm_guarantee == r.params.norm_guarantee(k)
 
 
 def test_improve_craig_8x():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,12 @@ def test_compare_examples():
     assert (v.relation, v.margin) == ("ties", "0.0000")
     with pytest.raises(ParameterError):
         compare(9999, "1.0")
+
+
+def test_verdicts_and_ledgers_are_derived():
+    assert [f.name for f in dataclasses.fields(compare(96, "47.9003"))] == ["margin", "against"]
+    rep = emit_table(2, tolerance=Fraction(1, 10))
+    assert [f.name for f in dataclasses.fields(rep)] == ["table_id", "rows"]
 
 
 def test_compare_accepts_log_density():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from latpack.errors import CapacityError, ParameterError, RankError
 from latpack.exactnum import IntMatrix, gram_det, next_prime
 from latpack.craig import CraigParams, craig_basis
-from latpack.svp import lll_reduce, shortest_vector, verify_min_norm
+from latpack.svp import Certificate, lll_reduce, shortest_vector, verify_min_norm
 
 import enum_reference
 import svp_cases
@@ -183,6 +184,12 @@ def test_verify_min_norm():
     cert = verify_min_norm(IntMatrix.identity(3), 2)
     assert not cert.holds
     assert sorted(abs(x) for x in cert.witness) == [0, 0, 1]
+
+
+def test_certificate_derives_holds():
+    fields = [f.name for f in dataclasses.fields(Certificate)]
+    assert fields == ["bound", "norm", "witness", "nodes"]
+    assert Certificate(6, 6, None, 0).holds and not Certificate(7, 6, [1], 0).holds
 
 
 def test_certificate_node_count():
