@@ -3,11 +3,11 @@
 A lattice A(n, m, l) lives in Z^(n+1) as the coefficient vectors of integer
 polynomials f with f(1) = 0 whose derivatives at 1 up to order m-1 vanish
 mod l.  It is spanned by (x-1)^n .. (x-1)^m together with
-l*(x-1)^(m-1) .. l*(x-1), and, because x^j and (x-1)^j span the same
-Z-module, equally by the short rows (x-1)^m * x^j and l*(x-1) * x^j that
-craig_basis writes (Craig 1978; Conway & Sloane, SPLAG ch. 8 sec. 6).  Its
-squared volume is l^(2(m-1)) * (n+1), and for prime l every nonzero vector
-has squared norm at least 2m.
+l*(x-1)^(m-1) .. l*(x-1) (Craig 1978; Conway & Sloane, SPLAG ch. 8 sec. 6).
+Its squared volume is l^(2(m-1)) * (n+1), and for prime l every nonzero
+vector has squared norm at least 2m.  craig_basis writes the short echelon
+rows (x-1)^m * x^j and, in the top degrees, l*(x-1) * x^j: they lie in A
+and have its volume, so they span it.
 """
 
 from __future__ import annotations
@@ -101,8 +101,9 @@ class IntegerLattice:
     def vol_sq(self) -> int:
         """Gram determinant det(B B^T), computed once and cached.
 
-        gram_det takes it from the pivots of the short Craig basis and of a
-        lifted (HNF) basis, both echelon in sum(x) = 0.
+        The Craig basis and a lifted (HNF) basis are echelon in sum(x) = 0,
+        so gram_det takes it from their pivots; a basis in any other form (a
+        file of the earlier Craig rows, say) runs gso_extend.
         """
         if self._vol_sq is None:
             d = gram_det(self.basis)
@@ -149,16 +150,17 @@ def craig_basis(p: CraigParams) -> IntegerLattice:
     """Basis of A(n, m, l) in Z^(n+1).
 
     The rows are (x-1)^m * x^j for j = 0..n-m, then l*(x-1) * x^j for
-    j = 0..m-2, as coefficient vectors in ascending degree.  The first n-m+1
-    rows span (x-1)^m times every polynomial of degree <= n-m, which is the
-    span of (x-1)^n .. (x-1)^m; the last m-1 span l*(x-1)^(m-1) .. l*(x-1).
-    Every entry is at most max(C(m, m // 2), l) in absolute value.  At m = 1
-    the second block is empty and the rows are the (x-1) * x^j of A_n.
+    j = n-m+1..n-1, as coefficient vectors in ascending degree.  Every row
+    lies in A, row i starts at column i, and the pivot entries (+-1, then -l)
+    multiply to +-l^(m-1), so the rows have A's volume
+    l^(2(m-1)) * (n+1) (see gram_det) and span A.  Every entry is at most
+    max(C(m, m // 2), l) in absolute value.  At m = 1 the second block is
+    empty and the rows are the (x-1) * x^j of A_n.
     """
     n, m, l = p.n, p.m, p.l
     top = [math.comb(m, i) * (-1) ** (m - i) for i in range(m + 1)]
     rows = [[0] * j + top + [0] * (n - m - j) for j in range(n - m + 1)]
-    rows += [[0] * j + [-l, l] + [0] * (n - 1 - j) for j in range(m - 1)]
+    rows += [[0] * j + [-l, l] + [0] * (n - 1 - j) for j in range(n - m + 1, n)]
     return IntegerLattice(IntMatrix(rows))
 
 

@@ -316,78 +316,59 @@ def hnf_basis(M: IntMatrix) -> IntMatrix:
     return IntMatrix(mat[: len(pivots)])
 
 
-def _nonzero_spans(rows) -> list[tuple[int, int]] | None:
-    """(first, last) nonzero column of each row, or None when a row is zero."""
-    spans = []
-    for row in rows:
-        if not any(row):
-            return None
-        nonzero = list(map(bool, row))
-        spans.append((nonzero.index(True), len(row) - 1 - nonzero[::-1].index(True)))
-    return spans
+def echelon_pivots(rows) -> list[int] | None:
+    """Pivot columns of an echelon basis, or None.
 
-
-def _span_pivots(spans) -> tuple[list[int], list[int]] | None:
-    """echelon_pivots of rows with these nonzero spans (None: a row is zero)."""
-    if spans is None:
-        return None
-    for side, latest_first in ((1, True), (0, False)):
-        cols = [s[side] for s in spans]
-        if len(set(cols)) == len(cols):
-            order = sorted(range(len(cols)), key=cols.__getitem__, reverse=latest_first)
-            return order, [cols[i] for i in order]
-    return None
-
-
-def echelon_pivots(rows) -> tuple[list[int], list[int]] | None:
-    """Row order and pivot columns of an echelon basis, or None.
-
-    A row's pivot is its last nonzero column when those are pairwise
-    distinct (the short Craig basis), else its first nonzero column when
-    those are (HNF output, lifted lattices).  Listed in the returned order,
-    each row is zero at the pivot columns of the rows before it, so the rows
-    are independent.  None when a row is zero or neither set is distinct.
+    A basis is echelon when no row is zero and the rows' first nonzero
+    columns strictly increase (HNF output, the Craig basis, lifted
+    lattices).  Each row's pivot is its first nonzero column, so every row
+    is zero at the pivots of the rows before it and the rows are
+    independent.
     """
-    return _span_pivots(_nonzero_spans(rows))
+    pivots = []
+    for row in rows:
+        pc = next((c for c, a in enumerate(row) if a), None)
+        if pc is None or (pivots and pc <= pivots[-1]):
+            return None
+        pivots.append(pc)
+    return pivots
 
 
 def left_solver(B: IntMatrix):
     """Factor B once; return a function v -> integer x with x*B = v, or None.
 
-    An echelon B (see echelon_pivots) is its own factor: each call
-    back-substitutes along B's pivots, and x is the quotients.  Any other B
-    is replaced by its HNF (H, U), so a call back-substitutes along H and
-    multiplies the quotients by U.  The solution of a full-row-rank B is
-    unique, so both give the same x.  A row is subtracted only over its
-    nonzero span, found with the pivots.  Nothing is modified by a call.
+    An echelon B (see echelon_pivots) is its own factor: each call walks
+    its rows in order, back-substituting at each pivot, and x is the
+    quotients.  Any other B is replaced by its HNF (H, U), so a call walks H
+    and multiplies the quotients by U.  The solution of a full-row-rank B is
+    unique, so both give the same x.  A row is subtracted only from its
+    pivot to its last nonzero column.  Nothing is modified by a call.
     Raises RankError when the rows of B are dependent.
     """
     rows, U = B.m, None
-    spans = _nonzero_spans(rows)
-    found = _span_pivots(spans)
-    if found is None:
+    pivots = echelon_pivots(rows)
+    if pivots is None:
         H, U = hnf(B)
         rows = H.m
-        spans = _nonzero_spans(rows)
-        found = _span_pivots(spans)
-    # Each row in pivot order with its pivot entry and nonzero span lo..hi-1.
+        pivots = echelon_pivots(rows)
+    # Each row's pivot column and entry and its nonzero span pc..hi-1.
     steps = []
-    for i, pc in zip(*found):
-        lo, hi = spans[i][0], spans[i][1] + 1
-        steps.append((i, pc, rows[i][pc], lo, hi, rows[i][lo:hi]))
+    for row, pc in zip(rows, pivots):
+        hi = len(row) - next(c for c, a in enumerate(reversed(row)) if a)
+        steps.append((pc, row[pc], hi, row[pc:hi]))
 
     def solve(v) -> list[int] | None:
         if len(v) != B.cols:
             raise ParameterError("vector length does not match matrix columns")
         residual = list(v)
-        q = [0] * len(rows)
-        for i, pc, pivot, lo, hi, span in steps:
+        q = []
+        for pc, pivot, hi, span in steps:
             qi, r = divmod(residual[pc], pivot)
             if r != 0:
                 return None
             if qi:
-                residual[lo:hi] = [a - qi * b for a, b in zip(residual[lo:hi], span)]
-                q[i] = qi
+                residual[pc:hi] = [a - qi * b for a, b in zip(residual[pc:hi], span)]
+            q.append(qi)
         if any(residual):
             return None
         if U is None:
@@ -436,19 +417,17 @@ def gram_det(B: IntMatrix) -> int:
 
     A rank N-1 echelon basis in Z^N whose rows all sum to 0, as every
     lattice in the hyperplane sum(x) = 0 built here is, takes it from its
-    pivots: det(B B^T) = N * (product of the pivot entries)^2.  By
-    Cauchy-Binet it is the sum of the squared maximal minors.  Their signed
-    vector is orthogonal to every row, so parallel to (1, ..., 1), and all N
-    minors share one absolute value; the minor without the non-pivot column
-    is triangular with the pivot entries on its diagonal.  Any other basis
-    runs gso_extend over its rows.
+    pivots, walking the rows in order: det(B B^T) = N * (product of the
+    pivot entries)^2.  By Cauchy-Binet it is the sum of the squared maximal
+    minors.  Their signed vector is orthogonal to every row, so parallel to
+    (1, ..., 1), and all N minors share one absolute value; the minor
+    without the non-pivot column is triangular with the pivot entries on its
+    diagonal.  Any other basis runs gso_extend over its rows.
     """
     if B.rows == B.cols - 1 and not any(sum(row) for row in B.m):
-        found = echelon_pivots(B.m)
-        if found is not None:
-            det = 1
-            for i, pc in zip(*found):
-                det *= B.m[i][pc]
+        pivots = echelon_pivots(B.m)
+        if pivots is not None:
+            det = math.prod(row[pc] for row, pc in zip(B.m, pivots))
             return B.cols * det * det
     d, lam = [1], []
     return d[-1] if all(gso_extend(B.m, d, lam) for _ in range(B.rows)) else 0

@@ -20,6 +20,7 @@ from .errors import ParameterError
 from .exactnum import (
     IntMatrix,
     compare_power_products,
+    div_round_half_even,
     hnf_basis,
     is_prime,
     next_prime,
@@ -265,7 +266,7 @@ def pipeline_24n(N: int) -> LiftResult:
 def _candidate_ms(n: int) -> list[int]:
     """Sweep window: around n/(2 ln n), around n/32, plus m = 1."""
     hi = max(1, -(-n // 2) - 1)
-    centers = {choose_params(n).m, max(1, round(n / 32))}
+    centers = {choose_params(n).m, max(1, div_round_half_even(n, 32))}
     cands = {1}
     for c in centers:
         for m in range(max(1, c - SWEEP_WINDOW), min(hi, c + SWEEP_WINDOW) + 1):

@@ -319,6 +319,8 @@ def test_size_inputs_answer_in_bounded_time(tmp_path):
         (["lift", "--n", n, "--m", m, "--l", top, "--code", str(code)], 0),
         # the lift above builds no basis; this one builds it at ambient 512
         (["lift", "--n", "511", "--m", "1", "--l", "521", "--code", str(ambient)], 0),
+        # 8m = 512 = d: the largest m a length-512 code supports
+        (["lift", "--n", "511", "--m", "64", "--l", "521", "--code", str(ambient)], 0),
         (["gv", "--n", n, "--d", n], 0),
         (["sweep", "--n", n], 0),
         (["conditional", "--n", n, "--m", m, "--l", top, "--req-n", str(MAX_N + 1),

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -91,6 +92,7 @@ def test_short_basis_spans_the_binomial_lattice():
     assert len(EQUIVALENCE_PARAMS) == 264 + 7
     for n, m, l in EQUIVALENCE_PARAMS:
         rows = craig_basis(CraigParams(n, m, l)).basis.m
+        assert [next(c for c, a in enumerate(row) if a) for row in rows] == list(range(n))
         assert hnf_basis(IntMatrix(rows)) == hnf_basis(IntMatrix(binomial_craig_rows(n, m, l)))
         assert max(abs(a) for row in rows for a in row) <= max(math.comb(m, m // 2), l)
 
@@ -101,12 +103,12 @@ def test_short_basis_volume_at_large_rank():
 
 
 def test_short_basis_rows():
-    # (x-1)^2 x^j for j = 0..2, then 7(x-1) x^0, in ascending degree
+    # (x-1)^2 x^j for j = 0..2, then 7(x-1) x^3, in ascending degree
     assert craig_basis(CraigParams(4, 2, 7)).basis.m == [
         [1, -2, 1, 0, 0],
         [0, 1, -2, 1, 0],
         [0, 0, 1, -2, 1],
-        [-7, 7, 0, 0, 0],
+        [0, 0, 0, -7, 7],
     ]
 
 
@@ -234,6 +236,37 @@ def test_basis_file_round_trip():
     assert (L2.rank, L2.ambient_dim) == (6, 7)  # read off the basis shape
     assert IntegerLattice(IntMatrix([[1, -1, 0]])).ambient_dim == 3
     assert L2.vol_sq == L.vol_sq
+
+
+def test_earlier_short_rows_solve_through_the_fallbacks():
+    # construct once wrote l*(x-1) * x^j for j = 0..m-2, rows that end
+    # rather than start at distinct columns.  Such a file still reads and
+    # gives the same solves, volume and minimum, through hnf and gso_extend.
+    p = CraigParams(12, 4, 13)
+    current = craig_basis(p)
+    rows = current.basis.m[: p.n - p.m + 1]
+    rows += [[0] * j + [-p.l, p.l] + [0] * (p.n - 1 - j) for j in range(p.m - 1)]
+    buf = io.StringIO()
+    write_basis(IntegerLattice(IntMatrix(rows)), buf)
+    buf.seek(0)
+    earlier = read_basis(buf)
+    assert exactnum.echelon_pivots(earlier.basis.m) is None
+    rng = random.Random(5)
+    with mock.patch.object(exactnum, "hnf", wraps=exactnum.hnf) as hnf_spy, \
+            mock.patch.object(exactnum, "gso_extend", wraps=exactnum.gso_extend) as gso_spy:
+        assert earlier.vol_sq == current.vol_sq
+        for _ in range(20):
+            coeffs = [rng.randint(-2, 2) for _ in rows]
+            v = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(p.n + 1)]
+            if rng.random() < 0.5:
+                v[rng.randrange(p.n)] += 1  # moves f'(1) off 0 mod l
+                v[-1] -= 1
+            x = solve_left(earlier.basis, v)
+            assert (x is not None) == membership(p, v)
+            if x is not None:
+                assert [sum(c * r[j] for c, r in zip(x, rows)) for j in range(p.n + 1)] == v
+    assert hnf_spy.called and gso_spy.called
+    assert shortest_vector(earlier)[0] == shortest_vector(current)[0] == 2 * p.m
 
 
 def test_basis_file_rejects_bad_input():

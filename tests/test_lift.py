@@ -1,16 +1,18 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
 from latpack.errors import ParameterError
 from latpack.exactnum import next_prime
-from latpack.craig import CraigParams, center_density_lb, craig_basis
+from latpack.craig import CraigParams, center_density_lb, craig_basis, membership
 from latpack.codes import (
     CONSTRUCTED,
     CodeSpec,
     LinearCode,
     extend_parity,
+    gf_rank,
     gv_max_k,
     repetition,
 )
@@ -56,8 +58,6 @@ def test_reduce_mod2():
 
 
 def test_reduced_basis_spans_even_weight_code():
-    from latpack.codes import gf_rank
-
     p = CraigParams(6, 3, 7)
     rows = [[x % 2 for x in row] for row in craig_basis(p).basis.m]
     assert gf_rank(2, rows) == 6
@@ -372,3 +372,42 @@ def test_construction_a_density():
         assert delta_sq(d) == Fraction(1, 4**n)  # delta = 2^-n
     with pytest.raises(ParameterError):
         construction_a_density(CodeSpec(4, 8, 4, 4, "table-known"))
+
+
+def _codewords(rows):
+    """Every GF(2) combination of ``rows``, as tuples."""
+    words = {tuple([0] * len(rows[0]))}
+    for row in rows:
+        words |= {tuple(a ^ b for a, b in zip(w, row)) for w in words}
+    return words
+
+
+def _even_rows(rng, k, width):
+    rows = []
+    for _ in range(k):
+        row = [rng.randrange(2) for _ in range(width)]
+        row[-1] = sum(row[:-1]) % 2
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("case", ["A(255,32,257) rep[256]", "A(96,48,97) k=4"])
+def test_large_m_lifts_have_the_preimage_volume(case):
+    # Checked without an HNF oracle: rows that lie in A, reduce mod 2 into
+    # the code and have the preimage's volume span the preimage.
+    if case.startswith("A(255"):
+        p = CraigParams(255, 32, 257)
+        code_rows = repetition(256).generator
+        lattice = lift_sublattice(p, repetition(256)).lattice
+    else:
+        p = CraigParams(96, 48, 97)
+        code_rows = _even_rows(random.Random(96), 4, 97)
+        lattice = _preimage_lattice(p, code_rows)
+    k = len(code_rows)
+    assert gf_rank(2, code_rows) == k
+    assert lattice.rank == p.n
+    assert lattice.vol_sq == p.l ** (2 * (p.m - 1)) * (p.n + 1) * 4 ** (p.n - k)
+    words = _codewords(code_rows)
+    for row in lattice.basis.m:
+        assert membership(p, row)
+        assert tuple(x % 2 for x in row) in words

@@ -18,15 +18,17 @@ Bareiss determinant of the Gram matrix it replaced (`tests/gram_reference.py`).
 Echelon bases solve by back-substitution along their own pivots, checked
 against solves through the reference HNF (`tests/hnf_reference.py`); rank
 N-1 sum-zero echelon bases take their Gram determinant from their pivots,
-checked against the Bareiss oracle, and every other basis still reaches
-`gso_extend`.  The one Gray-code codeword walk that serves every field, and
-the concatenated rows built from the same scaled rows, are checked against
-the recursive walk and the symbol-by-symbol builder they replaced
-(`tests/codes_reference.py`); closed-form preimage lattices are checked
-against the GF(2) solve per codeword (`tests/lift_reference.py`).  The
-parity rule d + (d mod 2) is checked against a walk of the extended code,
-and membership by repeated division by x - 1 against the derivative
-criterion it replaced (`tests/craig_reference.py`).
+checked against the Bareiss oracle, and every other basis (rows shuffled,
+or ending rather than starting at distinct columns) still solves through
+the HNF and reaches `gso_extend`.  The one Gray-code codeword walk that
+serves every field, and the concatenated rows built from the same scaled
+rows, are checked against the recursive walk and the symbol-by-symbol
+builder they replaced (`tests/codes_reference.py`); closed-form preimage
+lattices are checked against the GF(2) solve per codeword
+(`tests/lift_reference.py`).  The parity rule d + (d mod 2) is checked
+against a walk of the extended code, and membership by repeated division by
+x - 1 against the derivative criterion it replaced
+(`tests/craig_reference.py`).
 """
 
 import itertools
@@ -164,21 +166,31 @@ def test_hnf_basis_of_generating_set(M, coeffs):
 
 @st.composite
 def echelon_bases(draw):
-    """Up to 7 columns, rows keyed by distinct pivot columns, in shuffled order.
+    """Up to 7 columns, rows in order of strictly increasing pivot columns.
 
-    In the last-nonzero form (the short Craig basis) each row is zero right
-    of its pivot; in the first-nonzero form (HNF output, lifted lattices)
-    zero left of it.  Pivot entries are nonzero, of either sign and any
-    size up to 9."""
+    Each row is zero left of its pivot and free right of it (HNF output,
+    the Craig basis, lifted lattices).  Pivot entries are nonzero, of either
+    sign and any size up to 9."""
     cols = draw(st.integers(1, 7))
     pivots = sorted(draw(st.permutations(range(cols)))[: draw(st.integers(1, cols))])
-    last = draw(st.booleans())
     entry = st.integers(-9, 9)
     rows = []
     for pc in pivots:
-        row = [draw(entry) if (c < pc if last else c > pc) else 0 for c in range(cols)]
+        row = [draw(entry) if c > pc else 0 for c in range(cols)]
         row[pc] = draw(entry.filter(bool))
         rows.append(row)
+    return IntMatrix(rows)
+
+
+@st.composite
+def other_forms(draw, bases):
+    """A basis drawn from ``bases`` with its rows shuffled and, half the
+    time, its columns reversed, so that the rows end rather than start at
+    distinct columns (the form of the earlier Craig rows); often no longer
+    echelon."""
+    rows = draw(bases).m
+    if draw(st.booleans()):
+        rows = [row[::-1] for row in rows]
     return IntMatrix(draw(st.permutations(rows)))
 
 
@@ -225,7 +237,7 @@ def mixed(draw, bases):
     return IntMatrix(rows)
 
 
-@given(mixed(echelon_bases()), st.data())
+@given(st.one_of(mixed(echelon_bases()), other_forms(echelon_bases())), st.data())
 def test_non_echelon_bases_solve_through_hnf(M, data):
     assume(exactnum.echelon_pivots(M.m) is None)
     v = lattice_vectors(data, M)
@@ -236,23 +248,19 @@ def test_non_echelon_bases_solve_through_hnf(M, data):
 
 @st.composite
 def sum_zero_echelon_bases(draw):
-    """Rank N-1 in Z^N with every row summing to 0, in shuffled order.
+    """Rank N-1 in Z^N with every row summing to 0, in pivot order.
 
-    Row i has a nonzero pivot at column i + shift and free entries on one
-    side of it; the column at the other end of the row (0 in the
-    last-nonzero form, N-1 in the first-nonzero form) is minus the sum of
-    the rest."""
+    Row i has a nonzero pivot at column i and free entries right of it;
+    column N-1 is minus the sum of the rest."""
     cols = draw(st.integers(2, 7))
-    last = draw(st.booleans())
     entry = st.integers(-9, 9)
     rows = []
-    for pc in range(1, cols) if last else range(cols - 1):
-        free = range(1, pc) if last else range(pc + 1, cols - 1)
-        row = [draw(entry) if c in free else 0 for c in range(cols)]
+    for pc in range(cols - 1):
+        row = [draw(entry) if pc < c < cols - 1 else 0 for c in range(cols)]
         row[pc] = draw(entry.filter(bool))
-        row[0 if last else cols - 1] = -sum(row)
+        row[cols - 1] = -sum(row)
         rows.append(row)
-    return IntMatrix(draw(st.permutations(rows)))
+    return IntMatrix(rows)
 
 
 @given(sum_zero_echelon_bases())
@@ -266,7 +274,8 @@ def pivot_volume_applies(M) -> bool:
             and exactnum.echelon_pivots(M.m) is not None)
 
 
-@given(st.one_of(int_matrices(), echelon_bases(), mixed(sum_zero_echelon_bases())))
+@given(st.one_of(int_matrices(), echelon_bases(), mixed(sum_zero_echelon_bases()),
+                 other_forms(sum_zero_echelon_bases())))
 def test_other_bases_reach_gso_extend(M):
     with mock.patch.object(exactnum, "gso_extend", wraps=exactnum.gso_extend) as spy:
         assert gram_det(M) == gram_reference.gram_det(M)
