@@ -101,7 +101,7 @@ class IntegerLattice:
     def vol_sq(self) -> int:
         """Gram determinant det(B B^T), computed once and cached.
 
-        The Craig basis and a lifted (HNF) basis are echelon in sum(x) = 0,
+        The Craig basis and a lifted basis are echelon in sum(x) = 0,
         so gram_det takes it from their pivots; a basis in any other form (a
         file of the earlier Craig rows, say) runs gso_extend.
         """

@@ -2,13 +2,15 @@
 
 The core move: reduce A(n, m, l) coordinatewise mod 2 (the image is the
 even-weight [n+1, n, 2] code), pick a subcode V of dimension k with
-distance >= 8m, and take the preimage.  The preimage is a lattice of index
-2^(n-k) whose nonzero vectors have squared norm >= 8m, giving center
-density 2^(k-n/2) m^(n/2) / (l^(m-1) (n+1)^(1/2)).  Its basis needs no
-solving over GF(2): l is odd and l*A_n lies in A(n, m, l), so an even-weight
-codeword c lifts in closed form to l*(c - wt(c)*e_0).  Everything downstream
-(the 8x Craig improvement, the conditional tables, the GV pipelines, the
-dimension sweeps) instantiates that formula with different code sources.
+distance >= 8m, and take the preimage, a lattice of index 2^(n-k) whose
+nonzero vectors have squared norm >= 8m: center density
+2^(k-n/2) m^(n/2) / (l^(m-1) (n+1)^(1/2)).  The Craig basis B has odd
+pivots, so x -> x*B mod 2 is one-to-one and the preimage is Construction A
+over B (Conway & Sloane, SPLAG ch. 5) of the code W that maps onto V, read
+off the closed-form lifts l*(c - wt(c)*e_0) with no solving over GF(2).
+Everything downstream (the 8x Craig improvement, the conditional tables,
+the GV pipelines, the dimension sweeps) instantiates that formula with
+different code sources.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .exactnum import (
     IntMatrix,
     compare_power_products,
     div_round_half_even,
-    hnf_basis,
     is_prime,
+    left_solver,
     next_prime,
 )
 from .craig import (
@@ -104,26 +106,27 @@ def reduce_mod2(p: CraigParams, v) -> list[int]:
 
 
 def _preimage_lattice(p: CraigParams, code_rows) -> IntegerLattice:
-    """Basis of {v in A : v mod 2 in span(code_rows)} via HNF of the stacked system.
+    """Echelon basis of {v in A : v mod 2 in span(code_rows)}: Construction A over B.
 
-    Each even-weight codeword c lifts in closed form to l*(c - wt(c)*e_0): the
-    vector sums to 0, so it lies in l*A_n, which A = A(n, m, l) contains, and
-    it is c mod 2 since l is odd and wt(c) even.  A mod 2 is the [n+1, n, 2]
-    even-weight code, so the vectors of A that are 0 mod 2 form a sublattice
-    of index 2^n in A; so does the 2A inside it, and the two are equal.  Any
-    lifts of the generators together with twice the basis of A therefore span
-    the preimage, and its reduced HNF is unique.
+    Row i of the Craig basis B starts at column i with an odd pivot (+-1 or
+    -l), so x -> x*B mod 2 is one-to-one from F_2^n onto A mod 2, the
+    even-weight code, and the preimage is {x*B : x mod 2 in W}.  The
+    closed-form lifts l*(c - wt(c)*e_0) lie in l*A_n, inside A = A(n, m, l),
+    and are c mod 2 since l is odd, so their coordinates mod 2 span W.  W's
+    reduced echelon rows and 2*e_i off its pivots span W + 2*Z^n, so row i
+    is w*B for W's row w with pivot i, else 2*B[i]: echelon, with pivots
+    multiplying to 2^(n-k) * (+-l^(m-1)), k the rank of W.
     """
-    base = craig_basis(p)
-    lifted = [[p.l * x for x in c] for c in code_rows]
-    for row, c in zip(lifted, code_rows):
-        row[0] -= p.l * sum(c)
-    doubled = [[2 * x for x in row] for row in base.basis.m]
-    stacked = IntMatrix(lifted + doubled)
-    h = hnf_basis(stacked)
-    if h.rows != p.n:
-        raise ParameterError("preimage lattice has unexpected rank")
-    return IntegerLattice(h)
+    B = craig_basis(p).basis
+    solve = left_solver(B)
+    W = [[x % 2 for x in solve([p.l * (a - (j == 0) * sum(c)) for j, a in enumerate(c)])]
+         for c in code_rows]
+    rows = [[2 * a for a in row] for row in B.m]
+    for i, w in zip(codes._gf_eliminate(2, W, p.n), W):
+        row = rows[i] = [0] * (p.n + 1)  # w*B, and B[j] is zero past column j + m
+        for j in [j for j, bit in enumerate(w) if bit]:
+            row[j:j + p.m + 1] = [a + b for a, b in zip(row[j:j + p.m + 1], B[j][j:j + p.m + 1])]
+    return IntegerLattice(IntMatrix(rows))
 
 
 def lift_sublattice(p: CraigParams, V: LinearCode) -> LiftResult:

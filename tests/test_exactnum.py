@@ -184,7 +184,7 @@ def test_hnf_matches_reference_on_craig_bases():
 
 
 def test_hnf_basis_matches_reference_on_preimage_stacks():
-    # The stacked system of lift._preimage_lattice: the closed-form lifts
+    # Generating sets of preimage lattices: the closed-form lifts
     # l*(c - wt(c)*e_0) of the generators of a seeded even-weight code over
     # twice the Craig basis.
     rng = random.Random(95)

@@ -1,9 +1,12 @@
 import dataclasses
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
+from latpack import exactnum
+from latpack.cli import run
 from latpack.errors import ParameterError
 from latpack.exactnum import next_prime
 from latpack.craig import CraigParams, center_density_lb, craig_basis, membership
@@ -11,6 +14,8 @@ from latpack.codes import (
     CONSTRUCTED,
     CodeSpec,
     LinearCode,
+    concatenate,
+    dual_hamming_7_3_4,
     extend_parity,
     gf_rank,
     gv_max_k,
@@ -100,19 +105,25 @@ def test_lift_of_full_image_is_identity():
 
 
 def test_lift_solves_nothing_over_gf2(monkeypatch):
-    # Codewords lift in closed form: once the code is built (its rank check
-    # eliminates over GF(2)), the lift runs no GF(q) elimination.
+    # Codewords lift in closed form, so no codeword is solved over GF(2).
+    # Once the code is built (its rank check eliminates over GF(2)), the lift
+    # runs one GF(2) elimination: of the k x n coordinates, mod 2, of the
+    # lifts over the Craig basis, which puts W in reduced echelon form.
     import latpack.codes as codes
 
     p = CraigParams(31, 1, 37)
     code = extend_parity(LinearCode(CodeSpec(2, 31, 2, 8, CONSTRUCTED),
                                     [[1] * 8 + [0] * 23, [0] * 23 + [1] * 8]))
+    calls = []
+    eliminate = codes._gf_eliminate
 
-    def refuse(*args):
-        raise AssertionError("lift reached codes._gf_eliminate")
+    def counted(q, work, ncols):
+        calls.append((q, len(work), ncols))
+        return eliminate(q, work, ncols)
 
-    monkeypatch.setattr(codes, "_gf_eliminate", refuse)
+    monkeypatch.setattr(codes, "_gf_eliminate", counted)
     r = lift_sublattice(p, code)
+    assert calls == [(2, 2, 31)]
     assert r.lattice.vol_sq == craig_basis(p).vol_sq << (2 * 29)
 
 
@@ -391,7 +402,8 @@ def _even_rows(rng, k, width):
     return rows
 
 
-@pytest.mark.parametrize("case", ["A(255,32,257) rep[256]", "A(96,48,97) k=4"])
+@pytest.mark.parametrize("case", ["A(255,32,257) rep[256]", "A(96,48,97) k=4",
+                                  "A(1398,97,1399) table 1"])
 def test_large_m_lifts_have_the_preimage_volume(case):
     # Checked without an HNF oracle: rows that lie in A, reduce mod 2 into
     # the code and have the preimage's volume span the preimage.
@@ -399,15 +411,52 @@ def test_large_m_lifts_have_the_preimage_volume(case):
         p = CraigParams(255, 32, 257)
         code_rows = repetition(256).generator
         lattice = lift_sublattice(p, repetition(256)).lattice
-    else:
+    elif case.startswith("A(96"):
         p = CraigParams(96, 48, 97)
         code_rows = _even_rows(random.Random(96), 4, 97)
+        lattice = _preimage_lattice(p, code_rows)
+    else:
+        # Table 1's first eightfold-Craig lattice, the lift improve_craig_8x(1399)
+        # describes: the [1393, 3, 796] concatenated code, zero-padded and
+        # parity-extended.  n + 1 exceeds BASIS_CAP, so the basis is built here.
+        p = CraigParams(1398, 97, 1399)
+        cc = concatenate(repetition(199, 8), dual_hamming_7_3_4())
+        padded = [row + [0] * (p.n - cc.n) for row in cc.generator]
+        code_rows = extend_parity(LinearCode(CodeSpec(2, p.n, 3, cc.spec.d, CONSTRUCTED),
+                                             padded)).generator
         lattice = _preimage_lattice(p, code_rows)
     k = len(code_rows)
     assert gf_rank(2, code_rows) == k
     assert lattice.rank == p.n
     assert lattice.vol_sq == p.l ** (2 * (p.m - 1)) * (p.n + 1) * 4 ** (p.n - k)
     words = _codewords(code_rows)
-    for row in lattice.basis.m:
-        assert membership(p, row)
+    craig_rows = craig_basis(p).basis.m
+    for i, row in enumerate(lattice.basis.m):
+        assert next(c for c, a in enumerate(row) if a) == i
         assert tuple(x % 2 for x in row) in words
+        # Twice a Craig row lies in A; membership takes 4.5 ms a row at n = 1398.
+        assert row == [2 * a for a in craig_rows[i]] or membership(p, row)
+
+
+def test_lift_runs_no_generic_hnf(tmp_path, monkeypatch):
+    # A lifted basis is Construction A over the echelon Craig basis, so
+    # neither the lift nor its volume reaches the gcd HNF kernel.
+    calls = []
+    kernel = exactnum._hnf_inplace
+
+    def counted(mat, ncols):
+        calls.append((len(mat), ncols))
+        return kernel(mat, ncols)
+
+    monkeypatch.setattr(exactnum, "_hnf_inplace", counted)
+    gen = tmp_path / "even.txt"
+    gen.write_text("2 96 8\n" + "".join(" ".join(map(str, row)) + "\n"
+                                        for row in _even_rows(random.Random(95), 8, 96)))
+    out = io.StringIO()
+    assert run(["lift", "--n", "95", "--m", "1", "--l", "97", "--code", str(gen)], out) == 0
+    assert "constructed basis rank 95" in out.getvalue()
+    # 8m = 384 exceeds this code's length, so lift_sublattice would refuse it.
+    p = CraigParams(96, 48, 97)
+    lattice = _preimage_lattice(p, _even_rows(random.Random(96), 4, 97))
+    assert lattice.vol_sq == 97 ** (2 * 47) * 97 * 4 ** (96 - 4)
+    assert calls == []

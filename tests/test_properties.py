@@ -66,6 +66,7 @@ from latpack.exactnum import (
     binom_sum,
     binom_sums,
     compare_power_products,
+    echelon_pivots,
     gram_det,
     hnf,
     hnf_basis,
@@ -485,10 +486,13 @@ def preimage_cases(draw):
 @given(preimage_cases())
 @settings(max_examples=60)
 def test_closed_form_lift_matches_gf2_solve_reference(case):
+    # A lifted basis is echelon with pivots 0..n-1, not the reference's
+    # reduced HNF; equal reduced HNFs mean the same lattice.
     p, rows = case
     got = _preimage_lattice(p, rows)
     want = lift_reference.preimage_lattice(p, rows)
-    assert got.basis == want.basis
+    assert hnf_basis(got.basis) == want.basis
+    assert echelon_pivots(got.basis.m) == list(range(p.n))
     assert got.vol_sq == want.vol_sq
 
 
