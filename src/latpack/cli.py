@@ -80,11 +80,10 @@ def _params(args) -> craig.CraigParams:
 
 
 def _density_block(out, p, k, digits):
-    # Both raise on bad input (k out of range, l not prime) before any output.
-    density, guarantee = craig.center_density_lb(p, k), p.norm_guarantee(k)
+    density = craig.center_density_lb(p, k)  # raises on a k out of range before any output
     out.write(f"params: n={p.n} m={p.m} l={p.l} k={k}\n")
-    out.write(f"log2 center density: {density.log2(digits)} ({density.provenance})\n")
-    out.write(f"min norm guarantee: {guarantee}\n")
+    out.write(f"log2 center density: {density.log2(digits)} ({'lifted' if k else 'plain'})\n")
+    out.write(f"min norm guarantee: {p.norm_guarantee(k)}\n")
     rec = records.builtin_records().best_record(p.n)
     if rec is not None:
         verdict = records.compare(p.n, density)

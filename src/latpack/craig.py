@@ -1,13 +1,13 @@
 """Generalized Craig lattices.
 
-A lattice A(n, m, l) lives in Z^(n+1) as the coefficient vectors of integer
-polynomials f with f(1) = 0 whose derivatives at 1 up to order m-1 vanish
-mod l.  It is spanned by (x-1)^n .. (x-1)^m together with
+A lattice A(n, m, l), l a prime >= n+1, lives in Z^(n+1) as the coefficient
+vectors of integer polynomials f with f(1) = 0 whose derivatives at 1 up to
+order m-1 vanish mod l.  It is spanned by (x-1)^n .. (x-1)^m together with
 l*(x-1)^(m-1) .. l*(x-1) (Craig 1978; Conway & Sloane, SPLAG ch. 8 sec. 6).
-Its squared volume is l^(2(m-1)) * (n+1), and for prime l every nonzero
-vector has squared norm at least 2m.  craig_basis writes the short echelon
-rows (x-1)^m * x^j and, in the top degrees, l*(x-1) * x^j: they lie in A
-and have its volume, so they span it.
+Its squared volume is l^(2(m-1)) * (n+1), and every nonzero vector has
+squared norm at least 2m.  craig_basis writes the short echelon rows
+(x-1)^m * x^j and, in the top degrees, l*(x-1) * x^j: they lie in A and
+have its volume, so they span it.
 """
 
 from __future__ import annotations
@@ -78,11 +78,11 @@ class CraigParams:
             raise ParameterError(f"m={self.m} exceeds (n+1)/2 for n={self.n}")
         if self.l < self.n + 1:
             raise ParameterError(f"l must be >= n+1, got l={self.l} n={self.n}")
+        if not is_prime(self.l):
+            raise ParameterError(f"l must be prime, got {self.l}")
 
     def norm_guarantee(self, k: int = 0) -> int:
-        """Guaranteed minimum squared norm, given prime l: 2m, or 8m with a lifted code (k > 0)."""
-        if not is_prime(self.l):
-            raise ParameterError("norm bound requires a prime modulus l")
+        """Guaranteed minimum squared norm: 2m, or 8m with a lifted code (k > 0)."""
         return 8 * self.m if k else 2 * self.m
 
 
@@ -125,16 +125,15 @@ class LogDensity:
     ordered by compare_power_products on their maps.
     """
 
-    __slots__ = ("factors", "provenance")
+    __slots__ = ("factors",)
 
-    def __init__(self, pairs, provenance: str = "plain"):
+    def __init__(self, pairs):
         factors: dict[int, int] = {}
         for base, e in pairs:
             if not isinstance(base, int) or base <= 0:
                 raise ParameterError(f"density bases must be positive integers, got {base!r}")
             factors[base] = factors.get(base, 0) + e
         self.factors = {b: e for b, e in factors.items() if e and b != 1}
-        self.provenance = provenance
 
     def log2(self, digits: int = 4) -> str:
         return log2_of(self.factors, digits)
@@ -143,7 +142,7 @@ class LogDensity:
         return log2_fraction(self.factors)
 
     def __repr__(self) -> str:
-        return f"LogDensity(2^{self.log2(4)}, {self.provenance})"
+        return f"LogDensity(2^{self.log2(4)})"
 
 
 def craig_basis(p: CraigParams) -> IntegerLattice:
@@ -174,8 +173,6 @@ def membership(p: CraigParams, f) -> bool:
     """
     if len(f) != p.n + 1:
         raise ParameterError(f"vector must have length n+1 = {p.n + 1}")
-    if not is_prime(p.l):
-        raise ParameterError("membership criterion requires a prime modulus l")
     sums = list(accumulate(f[::-1]))
     for _ in range(1, p.m):
         if sums[-1]:
@@ -184,7 +181,7 @@ def membership(p: CraigParams, f) -> bool:
     return sums[-1] == 0
 
 
-def center_density_lb(p: CraigParams, k: int, provenance: str | None = None) -> LogDensity:
+def center_density_lb(p: CraigParams, k: int) -> LogDensity:
     """delta^2 = 2^(2k-n) * m^n / (l^(2(m-1)) * (n+1)), exact.
 
     k = 0 is the bare lattice (norm >= 2m); k > 0 assumes a supporting
@@ -193,10 +190,8 @@ def center_density_lb(p: CraigParams, k: int, provenance: str | None = None) -> 
     if not 0 <= k <= p.n:
         # The subcode lives inside the [n+1, n, 2] even-weight code.
         raise ParameterError(f"need 0 <= k <= n = {p.n}, got k={k}")
-    if provenance is None:
-        provenance = "plain" if k == 0 else "lifted"
     n, m, l = p.n, p.m, p.l
-    return LogDensity(((2, 2 * k - n), (m, n), (l, -2 * (m - 1)), (n + 1, -1)), provenance)
+    return LogDensity(((2, 2 * k - n), (m, n), (l, -2 * (m - 1)), (n + 1, -1)))
 
 
 def choose_params(n: int) -> CraigParams:
@@ -213,8 +208,7 @@ def choose_params(n: int) -> CraigParams:
 def density_floor(n: int) -> LogDensity:
     """Density bound m^(n/2) / (2^(m-1+n/2) n^(m-1) (n+1)^(1/2)) at the chosen m."""
     m = choose_params(n).m
-    return LogDensity(((m, n), (2, -2 * (m - 1) - n), (n, -2 * (m - 1)), (n + 1, -1)),
-                      "formula-only")
+    return LogDensity(((m, n), (2, -2 * (m - 1) - n), (n, -2 * (m - 1)), (n + 1, -1)))
 
 
 def verify_section(p: CraigParams) -> bool:
@@ -226,10 +220,6 @@ def verify_section(p: CraigParams) -> bool:
     back-substitution along the big basis's pivots and each volume is a
     pivot product.
     """
-    if not is_prime(p.l):
-        raise ParameterError("verify_section requires a prime l")
-    if p.l - 1 < p.n:
-        raise ParameterError("need l-1 >= n")
     if p.l > BASIS_CAP:
         raise CapacityError(f"section check capped at ambient {BASIS_CAP}, got {p.l}")
     small = craig_basis(p)

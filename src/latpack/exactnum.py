@@ -198,6 +198,7 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 
 
+@functools.lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
     """Deterministic primality test; raises ParameterError at or above _MR_LIMIT."""
     if n >= _MR_LIMIT:

@@ -99,7 +99,7 @@ class ConditionalVerdict:
 
 
 def reduce_mod2(p: CraigParams, v) -> list[int]:
-    """Coordinatewise mod-2 image of a lattice vector (membership requires l prime, so odd)."""
+    """Coordinatewise mod-2 image of a lattice vector."""
     if not membership(p, v):
         raise ParameterError("vector is not a member of the lattice")
     return [x % 2 for x in v]
@@ -134,10 +134,8 @@ def lift_sublattice(p: CraigParams, V: LinearCode) -> LiftResult:
 
     The returned density is exact; the basis itself is constructed only when
     the ambient dimension fits under BASIS_CAP (the density formula does not
-    need it).  A prime l >= n+1 >= 3 is odd.
+    need it).
     """
-    if not is_prime(p.l):
-        raise ParameterError("lifting requires an odd prime l")
     if V.q != 2:
         raise ParameterError("subcode must be binary")
     if V.n != p.n + 1:
@@ -170,17 +168,14 @@ def improve_craig_8x(p: int) -> LiftResult:
     with the binary [7, 3, 4] code, pads to length n, and lifts with k = 3;
     the density gain over the bare lattice is exactly 2^3.
     """
-    if not is_prime(p):
-        raise ParameterError("p must be prime")
     n = p - 1
+    check_dimension(n)
     if n < 1222:
         raise ParameterError("regime requires p - 1 >= 1222 (inner distance may fall short)")
     m = math.floor(n / (2.0 * math.log(n + 1)) + 0.5)  # nearest, half up
     params = CraigParams(n, m, p)
     n7 = n // 7
     cc = concatenate(repetition(n7, 8), dual_hamming_7_3_4())
-    if cc.spec.d < 8 * m:
-        raise ParameterError("concatenated distance fell below 8m; dimension too small")
     padded_rows = [row + [0] * (n - cc.n) for row in cc.generator]
     code = LinearCode(CodeSpec(2, n, 3, cc.spec.d, codes.CONSTRUCTED), padded_rows)
     return lift_with_length_n_code(params, code)
@@ -200,7 +195,7 @@ def conditional_eval(p: CraigParams, required: CodeSpec) -> ConditionalVerdict:
     if required.d < 8 * p.m:
         raise ParameterError(f"required distance {required.d} below 8m = {8 * p.m}")
     table = codes.builtin_code_table()
-    achieved = center_density_lb(p, required.k, provenance="formula-only")
+    achieved = center_density_lb(p, required.k)
     known = table.best_known(required.q, required.n, required.k)
     upper = table.upper_bound(required.q, required.n, required.k)
     if (known is not None and known >= required.d) or (
@@ -220,8 +215,7 @@ def mordell_weil_density(p: int) -> LogDensity:
     """Reference density ((p+1)/12)^(p-1) / p^((p-5)/6) for dimension 2p-2."""
     if not is_prime(p) or p % 6 != 5:
         raise ParameterError("requires a prime p with p = 5 mod 6")
-    return LogDensity(((p + 1, 2 * (p - 1)), (12, -2 * (p - 1)), (p, -((p - 5) // 3))),
-                      "formula-only")
+    return LogDensity(((p + 1, 2 * (p - 1)), (12, -2 * (p - 1)), (p, -((p - 5) // 3))))
 
 
 def mw_beater_search(p: int) -> LiftResult:
@@ -230,8 +224,7 @@ def mw_beater_search(p: int) -> LiftResult:
     m = floor((p-1)/16), l the next prime above 2p, and k the exact GV
     maximum for [2p-2, k, (p-1)/2] (always at least floor(0.3776 (p-1))).
     """
-    if not is_prime(p) or p % 6 != 5:
-        raise ParameterError("requires a prime p with p = 5 mod 6")
+    mw = mordell_weil_density(p)
     if not (1667 <= p <= 2039):
         raise ParameterError("no improvement guarantee outside 1667 <= p <= 2039")
     n = 2 * p - 2
@@ -243,7 +236,7 @@ def mw_beater_search(p: int) -> LiftResult:
     if k < k_floor:
         raise ParameterError("exact GV scan fell below the guaranteed dimension")
     result = LiftResult(CraigParams(n, m, l), CodeSpec(2, n, k, d, codes.GV_EXISTS))
-    if compare_power_products(mordell_weil_density(p).factors, result.density.factors) >= 0:
+    if compare_power_products(mw.factors, result.density.factors) >= 0:
         raise ParameterError(f"construction does not beat the reference density at p={p}")
     return result
 
@@ -258,8 +251,6 @@ def pipeline_24n(N: int) -> LiftResult:
     m = (3 * t) // 4
     k = 45312 * t // 10000
     d = 6 * t
-    if 8 * m > d:
-        raise ParameterError("8m exceeds the code distance 6t")
     if not gv_exists(N, k, d):
         raise ParameterError(f"GV cross-check failed for N={N}")
     return LiftResult(CraigParams(N, m, next_prime(N + 1)),
@@ -312,4 +303,4 @@ def construction_a_density(c: CodeSpec) -> LogDensity:
     """Integer vectors congruent mod 2 to codewords: delta = min(sqrt(d), 2)^n / 2^(2n-k)."""
     if c.q != 2:
         raise ParameterError("construction applies to binary codes")
-    return LogDensity(((min(c.d, 4), c.n), (2, -2 * (2 * c.n - c.k))), "formula-only")
+    return LogDensity(((min(c.d, 4), c.n), (2, -2 * (2 * c.n - c.k))))

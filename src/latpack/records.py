@@ -54,7 +54,6 @@ class RecordEntry:
 
 class RecordTable:
     def __init__(self):
-        self.entries: list[RecordEntry] = []
         self.by_dim: dict[int, list[RecordEntry]] = {}
 
     def add(self, entry: RecordEntry) -> None:
@@ -62,7 +61,6 @@ class RecordTable:
             raise ParameterError(f"unknown record kind {entry.kind!r}")
         if any(e.name == entry.name for e in self.by_dim.get(entry.dim, [])):
             raise ParameterError(f"duplicate record ({entry.dim}, {entry.name})")
-        self.entries.append(entry)
         self.by_dim.setdefault(entry.dim, []).append(entry)
 
     def best_record(self, dim: int) -> RecordEntry | None:
@@ -128,7 +126,6 @@ def compare(dim: int, candidate, records: RecordTable | None = None) -> CompareV
 class TableRow:
     table: int
     dim: int
-    kind: str
     computed: str
     stated: str
     diff: str
@@ -249,7 +246,7 @@ def emit_table(table_id: int, tolerance: Fraction = AGREE_TOLERANCE) -> TableRep
         elif raw.known_name:
             note = f"{note}; {raw.known_name}"
         report.rows.append(TableRow(
-            raw.table, raw.dim, raw.kind, _fmt4(val), raw.stated, _fmt4(diff), within, note
+            raw.table, raw.dim, _fmt4(val), raw.stated, _fmt4(diff), within, note
         ))
     return report
 

@@ -48,11 +48,11 @@ def sweep_dimension(n: int) -> SweepChoice:
             k = max(gv_max_k(n, need), table.best_k_at_distance(2, n, need))
         params = CraigParams(n, m, l)
         if k > 0:
-            density = center_density_lb(params, k, "lifted")
+            density = center_density_lb(params, k)
             code = CodeSpec(2, n, k, need, codes.GV_EXISTS)
             guarantee = 8 * m
         else:
-            density = center_density_lb(params, 0, "plain")
+            density = center_density_lb(params, 0)
             code = None
             guarantee = 2 * m
         cand = SweepChoice(params, code, density, guarantee)

@@ -27,11 +27,22 @@ def test_density_report():
     assert "n=52 m=6 l=53" in out
 
 
-@pytest.mark.parametrize("k", [[], ["--k", "1"]])
-def test_density_composite_l_prints_nothing(k):
-    # l = 54 is not prime, so there is no guarantee; it is refused before
+@pytest.mark.parametrize("argv", [
+    pytest.param(["density", "--n", "52", "--m", "6", "--l", "54"], id="k0"),
+    pytest.param(["density", "--n", "52", "--m", "6", "--l", "54", "--k", "1"], id="k1"),
+    pytest.param(["conditional", "--n", "128", "--m", "4", "--l", "133", "--req-n", "128",
+                  "--req-k", "59", "--req-d", "32"], id="conditional"),  # 133 = 7 * 19
+    pytest.param(["construct", "--n", "10", "--m", "2", "--l", "12"], id="construct"),
+    pytest.param(["lift", "--n", "10", "--m", "1", "--l", "12"], id="lift"),
+])
+def test_density_composite_l_prints_nothing(argv, tmp_path):
+    # A composite l backs no norm bound, so CraigParams refuses it before
     # the first line is written.
-    assert invoke("density", "--n", "52", "--m", "6", "--l", "54", *k) == (2, "")
+    code = tmp_path / "code.txt"
+    code.write_text("2 10 1\n" + " ".join(["1"] * 10) + "\n")  # [10, 1, 10] >= 8m
+    if argv[0] == "lift":
+        argv = argv + ["--code", str(code)]
+    assert invoke(*argv) == (2, "")
 
 
 def test_gv_report():

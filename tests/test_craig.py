@@ -49,6 +49,8 @@ def test_params_validation():
         CraigParams(4, 2, 4)  # l < n+1
     with pytest.raises(ParameterError):
         CraigParams(4, 0, 5)
+    with pytest.raises(ParameterError, match="l must be prime"):
+        CraigParams(10, 2, 12)  # composite l: no 2m bound
 
 
 def test_basis_a2():
@@ -190,7 +192,6 @@ def test_density_floor_values():
     assert density_floor(2).log2(4) == "-1.7925"
     assert density_floor(100).log2(4) == "43.2039"
     assert density_floor(1222).log2(4) == "2353.6422"
-    assert density_floor(100).provenance == "formula-only"
 
 
 def test_verify_section():

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -189,7 +190,7 @@ def test_lift_with_length_n_code_density(monkeypatch):
 
 
 def test_lift_proves_l_prime_once(monkeypatch):
-    # The guarantee is derived when read, so the lift itself tests l once.
+    # Building CraigParams makes the one call; the lift itself tests l no more.
     import latpack.craig as craig
     import latpack.lift as lift
     from latpack.exactnum import is_prime
@@ -205,6 +206,36 @@ def test_lift_proves_l_prime_once(monkeypatch):
     monkeypatch.setattr(craig, "is_prime", counting)
     lift_sublattice(CraigParams(7, 1, 11), code)
     assert calls == [11]
+
+
+@pytest.mark.parametrize("name", ["lift_sublattice", "membership", "norm_guarantee",
+                                  "verify_section"])
+def test_params_are_not_reproved_prime(monkeypatch, name):
+    # CraigParams proves l prime when built; nothing that takes one tests it
+    # again.  verify_section builds A(l-1, m, l)'s params, whose constructor
+    # is the one check for that triple, so calls from __post_init__ are not
+    # counted.
+    import latpack.craig as craig
+    import latpack.lift as lift
+    from latpack.exactnum import is_prime
+
+    p = CraigParams(7, 1, 11)
+    calls = []
+
+    def counting(n):
+        if sys._getframe(1).f_code is not CraigParams.__post_init__.__code__:
+            calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(lift, "is_prime", counting)
+    monkeypatch.setattr(craig, "is_prime", counting)
+    {
+        "lift_sublattice": lambda: lift_sublattice(p, extend_parity(repetition(7, 2))),
+        "membership": lambda: membership(p, [0] * 8),
+        "norm_guarantee": lambda: p.norm_guarantee(1),
+        "verify_section": lambda: craig.verify_section(p),
+    }[name]()
+    assert calls == []
 
 
 _RESULTS = {
@@ -227,7 +258,6 @@ def test_lift_result_stores_only_what_it_cannot_derive(name):
     k = r.code.k if r.code else 0
     assert r.k == k
     assert r.density.factors == center_density_lb(r.params, k).factors
-    assert r.density.provenance == ("lifted" if k else "plain")
     assert r.min_norm_guarantee == r.params.norm_guarantee(k)
 
 
@@ -347,7 +377,7 @@ def test_sweep_dimension():
 
 
 def _sweep_fields(r):
-    return r.params, r.code, r.density.factors, r.density.provenance, r.min_norm_guarantee
+    return r.params, r.code, r.density.factors, r.min_norm_guarantee
 
 
 def test_sweep_matches_reference():

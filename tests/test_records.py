@@ -28,7 +28,7 @@ def test_ingest(tmp_path):
 
     empty = tmp_path / "empty.csv"
     empty.write_text("")
-    assert ingest(empty).entries == []
+    assert ingest(empty).by_dim == {}
 
     dup = tmp_path / "dup.csv"
     dup.write_text("4096,11527,MW,a,record\n4096,11528,MW,b,record\n")
