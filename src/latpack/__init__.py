@@ -6,7 +6,7 @@ published density tables with a discrepancy ledger.
 """
 
 from .errors import CapacityError, LatpackError, ParameterError, ParseError, RankError
-from .exactnum import IntMatrix, binom_sum, gram_det, hnf, is_prime, next_prime
+from .exactnum import IntMatrix, binom_sum, gram_det, is_prime, next_prime
 from .craig import (
     CraigParams,
     IntegerLattice,
@@ -14,7 +14,6 @@ from .craig import (
     center_density_lb,
     choose_params,
     craig_basis,
-    density_floor,
     membership,
     verify_section,
 )
@@ -40,7 +39,6 @@ from .lift import (
     mordell_weil_density,
     mw_beater_search,
     pipeline_24n,
-    reduce_mod2,
     sweep_dimension,
 )
 from .svp import Certificate, ReducedBasis, lll_reduce, shortest_vector, verify_min_norm

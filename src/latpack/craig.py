@@ -38,7 +38,6 @@ __all__ = [
     "center_density_lb",
     "check_dimension",
     "choose_params",
-    "density_floor",
     "verify_section",
     "write_basis",
     "read_basis",
@@ -203,12 +202,6 @@ def choose_params(n: int) -> CraigParams:
     hi = max(1, -(-n // 2) - 1)  # ceil(n/2) - 1
     m = min(max(1, m), hi)
     return CraigParams(n, m, next_prime(n + 1))
-
-
-def density_floor(n: int) -> LogDensity:
-    """Density bound m^(n/2) / (2^(m-1+n/2) n^(m-1) (n+1)^(1/2)) at the chosen m."""
-    m = choose_params(n).m
-    return LogDensity(((m, n), (2, -2 * (m - 1) - n), (n, -2 * (m - 1)), (n + 1, -1)))
 
 
 def verify_section(p: CraigParams) -> bool:

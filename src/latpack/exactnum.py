@@ -1,7 +1,8 @@
 """Exact arithmetic kernel.
 
 Arbitrary-precision binomial sums, deterministic primality, integer-matrix
-Hermite normal form, back-substitution and pivot volumes for echelon bases,
+Hermite normal form (no src caller: the tests and the benchmark tracer use
+it), back-substitution and pivot volumes for echelon bases,
 the integral Gram-Schmidt step behind other Gram determinants and LLL, and
 for products of integer powers (every density here is one) their base-2
 logarithms rendered to a requested number of decimal digits and their exact
@@ -338,23 +339,18 @@ def echelon_pivots(rows) -> list[int] | None:
 def left_solver(B: IntMatrix):
     """Factor B once; return a function v -> integer x with x*B = v, or None.
 
-    An echelon B (see echelon_pivots) is its own factor: each call walks
-    its rows in order, back-substituting at each pivot, and x is the
-    quotients.  Any other B is replaced by its HNF (H, U), so a call walks H
-    and multiplies the quotients by U.  The solution of a full-row-rank B is
-    unique, so both give the same x.  A row is subtracted only from its
-    pivot to its last nonzero column.  Nothing is modified by a call.
-    Raises RankError when the rows of B are dependent.
+    B must be echelon (see echelon_pivots) and is its own factor: each call
+    walks its rows in order, back-substituting at each pivot, and x is the
+    quotients.  A row is subtracted only from its pivot to its last nonzero
+    column.  Nothing is modified by a call.  Raises ParameterError when B is
+    not echelon.
     """
-    rows, U = B.m, None
-    pivots = echelon_pivots(rows)
+    pivots = echelon_pivots(B.m)
     if pivots is None:
-        H, U = hnf(B)
-        rows = H.m
-        pivots = echelon_pivots(rows)
+        raise ParameterError("solving needs an echelon basis (rows starting at increasing columns)")
     # Each row's pivot column and entry and its nonzero span pc..hi-1.
     steps = []
-    for row, pc in zip(rows, pivots):
+    for row, pc in zip(B.m, pivots):
         hi = len(row) - next(c for c, a in enumerate(reversed(row)) if a)
         steps.append((pc, row[pc], hi, row[pc:hi]))
 
@@ -370,15 +366,7 @@ def left_solver(B: IntMatrix):
             if qi:
                 residual[pc:hi] = [a - qi * b for a, b in zip(residual[pc:hi], span)]
             q.append(qi)
-        if any(residual):
-            return None
-        if U is None:
-            return q
-        x = [0] * U.cols
-        for qi, urow in zip(q, U.m):
-            if qi:
-                x = [a + qi * b for a, b in zip(x, urow)]
-        return x
+        return None if any(residual) else q
 
     return solve
 

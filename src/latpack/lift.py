@@ -36,7 +36,6 @@ from .craig import (
     check_dimension,
     choose_params,
     craig_basis,
-    membership,
 )
 from . import codes
 from .codes import (
@@ -55,7 +54,6 @@ from .codes import (
 __all__ = [
     "LiftResult",
     "ConditionalVerdict",
-    "reduce_mod2",
     "lift_sublattice",
     "lift_with_length_n_code",
     "improve_craig_8x",
@@ -96,13 +94,6 @@ class ConditionalVerdict:
     required: CodeSpec
     achieved_density: LogDensity
     status: str  # realized | open | refuted-by-table | refuted-by-bound
-
-
-def reduce_mod2(p: CraigParams, v) -> list[int]:
-    """Coordinatewise mod-2 image of a lattice vector."""
-    if not membership(p, v):
-        raise ParameterError("vector is not a member of the lattice")
-    return [x % 2 for x in v]
 
 
 def _preimage_lattice(p: CraigParams, code_rows) -> IntegerLattice:

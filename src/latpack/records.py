@@ -103,9 +103,10 @@ class CompareVerdict:
 def _as_log2_fraction(candidate) -> Fraction:
     if isinstance(candidate, LogDensity):
         return candidate.log2_fraction()
-    if isinstance(candidate, Fraction):
-        return candidate
-    return Fraction(str(candidate))
+    if isinstance(candidate, (Fraction, int)):
+        return Fraction(candidate)
+    raise ParameterError(
+        f"candidate must be a LogDensity or an exact rational, got {type(candidate).__name__}")
 
 
 def _fmt4(x: Fraction) -> str:
@@ -113,7 +114,10 @@ def _fmt4(x: Fraction) -> str:
 
 
 def compare(dim: int, candidate, records: RecordTable | None = None) -> CompareVerdict:
-    """Margin of a candidate density over the best record at this dimension."""
+    """Margin of a candidate density over the best record at this dimension.
+
+    The candidate is a LogDensity or an exact log2(delta) (Fraction or int).
+    """
     if records is None:
         records = builtin_records()
     best = records.best_record(dim)

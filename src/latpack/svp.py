@@ -70,13 +70,17 @@ class Certificate:
         return self.norm >= self.bound
 
 
-def _basis_rows(lattice) -> list[list[int]]:
-    """Copy of the basis rows of an IntegerLattice, an IntMatrix or a list of rows."""
+def _basis(lattice) -> IntMatrix:
+    """The basis of an IntegerLattice or an IntMatrix, or a list of rows as one.
+
+    A list of rows is checked through IntMatrix (integer entries, equal
+    widths) before any arithmetic: LLL never ends on a NaN entry.
+    """
     if isinstance(lattice, IntegerLattice):
-        lattice = lattice.basis
+        return lattice.basis
     if isinstance(lattice, IntMatrix):
-        lattice = lattice.m
-    return [list(r) for r in lattice]
+        return lattice
+    return IntMatrix(lattice)
 
 
 def lll_reduce(lattice, quality: Fraction = Fraction(99, 100)) -> ReducedBasis:
@@ -86,7 +90,7 @@ def lll_reduce(lattice, quality: Fraction = Fraction(99, 100)) -> ReducedBasis:
     reaches it and is updated in place on every size reduction and swap.
     b_k is size-reduced against b_{k-1}, ..., b_0 before the Lovasz test.
     """
-    basis = _basis_rows(lattice)
+    basis = [list(r) for r in _basis(lattice).m]
     quality = Fraction(quality)
     if not (Fraction(1, 4) < quality < 1):
         raise ParameterError("quality must lie in (1/4, 1)")
@@ -154,10 +158,10 @@ def shortest_vector(lattice, stats: dict | None = None):
     When ``stats`` is given, ``stats["nodes"]`` is increased by the number
     of enumeration nodes visited.
     """
-    rows = _basis_rows(lattice)
-    if len(rows) > RANK_CAP:
-        raise CapacityError(f"rank {len(rows)} exceeds enumeration cap {RANK_CAP}")
-    red = lll_reduce(rows)
+    basis = _basis(lattice)
+    if basis.rows > RANK_CAP:
+        raise CapacityError(f"rank {basis.rows} exceeds enumeration cap {RANK_CAP}")
+    red = lll_reduce(basis)
     rows, d, lam = red.basis.m, red.d, red.lam
     r = len(rows)
     dens = [d[l] * d[l + 1] for l in range(r)]

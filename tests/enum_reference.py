@@ -15,7 +15,7 @@ import math
 
 from latpack.errors import CapacityError
 from latpack.exactnum import div_round_half_even
-from latpack.svp import RANK_CAP, _basis_rows, lll_reduce
+from latpack.svp import RANK_CAP, _basis, lll_reduce
 
 
 def shortest_vector(lattice, stats: dict | None = None):
@@ -29,10 +29,10 @@ def shortest_vector(lattice, stats: dict | None = None):
     ``stats`` is given, ``stats["nodes"]`` is increased by the number of
     enumeration nodes visited.
     """
-    rows = _basis_rows(lattice)
-    if len(rows) > RANK_CAP:
-        raise CapacityError(f"rank {len(rows)} exceeds enumeration cap {RANK_CAP}")
-    red = lll_reduce(rows)
+    basis = _basis(lattice)
+    if basis.rows > RANK_CAP:
+        raise CapacityError(f"rank {basis.rows} exceeds enumeration cap {RANK_CAP}")
+    red = lll_reduce(basis)
     rows, d, lam = red.basis.m, red.d, red.lam
     r = len(rows)
     dens = [d[l] * d[l + 1] for l in range(r)]

@@ -46,5 +46,5 @@ def test_traced_names_without_a_call_site_in_src():
                 called.add(getattr(node.func, "attr", getattr(node.func, "id", None)))
     uncalled = {f"{mod}.{fn}" for mod, fns in _tracer().TRACED.items() for fn in fns
                 if fn not in called}
-    assert uncalled == {"codes.gf_solve", "craig.verify_section", "exactnum.hnf_basis",
-                        "exactnum.solve_left"}
+    assert uncalled == {"codes.gf_solve", "craig.membership", "craig.verify_section",
+                        "exactnum.hnf", "exactnum.hnf_basis", "exactnum.solve_left"}

@@ -264,22 +264,29 @@ def test_left_solver_reused_matches_fresh_calls_and_brute_force():
         v = tuple(sum(c * r[j] for c, r in zip(x, T)) for j in range(4))
         if all(-3 <= a <= 3 for a in v):
             inside.add(v)
-    # One solver on a scrambled basis of the same lattice answers every
-    # target, twice over, exactly as fresh solve_left calls do.
-    B = IntMatrix([[1, 4, 1, 4], [0, 2, 1, 1], [2, 4, 3, 8]])
-    assert hnf_basis(B) == hnf_basis(IntMatrix(T))
-    solve = left_solver(B)
+    # One solver on T answers every target, twice over, exactly as fresh
+    # solve_left calls do.
+    E = IntMatrix(T)
+    solve = left_solver(E)
     targets = [list(v) for v in itertools.product(range(-3, 4), repeat=4)]
     random.Random(11).shuffle(targets)
     first = [solve(v) for v in targets]
     for v, x in zip(targets, first):
-        assert x == solve_left(B, v)
+        assert x == solve_left(E, v)
         assert (x is not None) == (tuple(v) in inside)
         if x is not None:
-            assert [sum(c * r[j] for c, r in zip(x, B.m)) for j in range(4)] == v
+            assert [sum(c * r[j] for c, r in zip(x, T)) for j in range(4)] == v
     assert [solve(v) for v in targets] == first
     with pytest.raises(ParameterError):
         solve([0, 0, 0])
+    # A scrambled basis of the same lattice is not echelon: refused before
+    # any solve.
+    B = IntMatrix([[1, 4, 1, 4], [0, 2, 1, 1], [2, 4, 3, 8]])
+    assert hnf_basis(B) == hnf_basis(E)
+    with pytest.raises(ParameterError, match="echelon"):
+        left_solver(B)
+    with pytest.raises(ParameterError, match="echelon"):
+        solve_left(B, targets[0])
 
 
 def test_log2_of_examples():

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 import random
 import sys
 from fractions import Fraction
@@ -9,8 +10,8 @@ import pytest
 from latpack import exactnum
 from latpack.cli import run
 from latpack.errors import ParameterError
-from latpack.exactnum import next_prime
-from latpack.craig import CraigParams, center_density_lb, craig_basis, membership
+from latpack.exactnum import is_prime, next_prime
+from latpack.craig import MAX_N, CraigParams, center_density_lb, craig_basis, membership
 from latpack.codes import (
     CONSTRUCTED,
     CodeSpec,
@@ -32,7 +33,6 @@ from latpack.lift import (
     mordell_weil_density,
     mw_beater_search,
     pipeline_24n,
-    reduce_mod2,
     sweep_dimension,
 )
 from latpack.records import table_rows
@@ -53,14 +53,6 @@ def full_even_weight_code(width):
         row[i] = row[i + 1] = 1
         rows.append(row)
     return rows
-
-
-def test_reduce_mod2():
-    p = CraigParams(2, 1, 3)
-    assert reduce_mod2(p, [-1, 1, 0]) == [1, 1, 0]
-    assert reduce_mod2(p, [2, -4, 2]) == [0, 0, 0]
-    with pytest.raises(ParameterError):
-        reduce_mod2(p, [1, 0, 0])  # not a member
 
 
 def test_reduced_basis_spans_even_weight_code():
@@ -281,10 +273,18 @@ def test_improve_craig_8x():
 
 
 def test_improve_craig_8x_distance_margin():
-    # concatenated distance 4*floor(n/7) covers 8(m+1) at the regime edge
-    n = 1222
-    m = round(n / (2 * __import__("math").log(n + 1)))
-    assert 4 * (n // 7) >= 8 * (m + 1)
+    # The concatenated distance 4*floor(n/7) covers 8(m+1), one step past the
+    # 8m the lift needs, at every prime p = n + 1 from the regime edge
+    # n = 1222 to MAX_N + 1, with m chosen as improve_craig_8x chooses it.
+    primes = [p for p in range(1223, MAX_N + 2) if is_prime(p)]
+    assert (primes[0], primes[-1], len(primes)) == (1223, 65537, 6344)
+    for p in primes:
+        n = p - 1
+        m = math.floor(n / (2.0 * math.log(n + 1)) + 0.5)  # nearest, half up
+        assert 4 * (n // 7) >= 8 * (m + 1), p
+    r = improve_craig_8x(MAX_N + 1)
+    assert r.params.n == MAX_N
+    assert r.code.d == 4 * (MAX_N // 7) >= 8 * r.params.m
 
 
 def test_conditional_eval():

@@ -42,19 +42,27 @@ def test_ingest(tmp_path):
 
 
 def test_compare_examples():
-    v = compare(4096, "11529")
+    v = compare(4096, Fraction("11529"))
     assert (v.relation, v.margin) == ("beats", "2.0000")
-    v = compare(96, "47.9003")
+    v = compare(96, Fraction("47.9003"))
     assert v.relation == "below"
     assert v.against.log2_delta == "52.078"
-    v = compare(104, "67.0168")
+    v = compare(104, Fraction("67.0168"))
     assert (v.relation, v.margin) == ("ties", "0.0000")
+    assert compare(4096, 11529) == compare(4096, Fraction(11529))
     with pytest.raises(ParameterError):
-        compare(9999, "1.0")
+        compare(9999, Fraction("1.0"))
+
+
+@pytest.mark.parametrize("candidate", [47.9, float("nan"), float("inf"), "47.9"])
+def test_compare_refuses_inexact_candidates(candidate):
+    with pytest.raises(ParameterError, match="exact rational"):
+        compare(96, candidate)
 
 
 def test_verdicts_and_ledgers_are_derived():
-    assert [f.name for f in dataclasses.fields(compare(96, "47.9003"))] == ["margin", "against"]
+    assert [f.name for f in dataclasses.fields(compare(96, Fraction("47.9003")))] == [
+        "margin", "against"]
     rep = emit_table(2, tolerance=Fraction(1, 10))
     assert [f.name for f in dataclasses.fields(rep)] == ["table_id", "rows"]
 

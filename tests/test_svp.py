@@ -2,10 +2,12 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from latpack import svp
 from latpack.errors import CapacityError, ParameterError, RankError
 from latpack.exactnum import IntMatrix, gram_det, next_prime
 from latpack.craig import CraigParams, craig_basis
@@ -184,6 +186,21 @@ def test_verify_min_norm():
     cert = verify_min_norm(IntMatrix.identity(3), 2)
     assert not cert.holds
     assert sorted(abs(x) for x in cert.witness) == [0, 0, 1]
+
+
+@pytest.mark.parametrize("rows", [
+    [[float("nan"), 0], [0, 1]],  # LLL's Lovasz test is never true on NaN
+    [[0.5, 0], [0, 1]],
+    [[1, 0, 0], [0, 1]],  # ragged
+])
+def test_non_integer_or_ragged_rows_are_refused_before_lll(rows):
+    # svp calls gso_extend under its own name; a row list that reaches it
+    # fails at once instead of looping.
+    with mock.patch.object(svp, "gso_extend", side_effect=AssertionError("reached LLL")):
+        with pytest.raises(ParameterError):
+            verify_min_norm(rows, 1)
+        with pytest.raises(ParameterError):
+            lll_reduce(rows)
 
 
 def test_certificate_derives_holds():
