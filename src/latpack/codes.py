@@ -344,12 +344,14 @@ def lemma62_params(t: int) -> CodeSpec:
 
 
 class CodeTable:
-    """Best-known distances, upper bounds and hypothetical entries keyed by (q, n, k)."""
+    """Best-known distances and upper bounds keyed by (q, n, k).
+
+    Rows of status hypothetical are validated and accepted but not stored.
+    """
 
     def __init__(self):
         self.known: dict[tuple[int, int, int], int] = {}
         self.upper: dict[tuple[int, int, int], int] = {}
-        self.hypothetical: dict[tuple[int, int, int], int] = {}
         # known, grouped by length: (q, n) -> {k: d}
         self._known_by_length: dict[tuple[int, int], dict[int, int]] = {}
 
@@ -359,13 +361,10 @@ class CodeTable:
             if d > self.known.get(key, 0):
                 self.known[key] = d
                 self._known_by_length.setdefault((q, n), {})[k] = d
-        elif status == HYPOTHETICAL:
-            if d > self.hypothetical.get(key, 0):
-                self.hypothetical[key] = d
         elif status == "upper":
             if d < self.upper.get(key, 1 << 62):
                 self.upper[key] = d
-        else:
+        elif status != HYPOTHETICAL:
             raise ParameterError(f"unknown status {status!r}")
 
     def best_known(self, q: int, n: int, k: int) -> int | None:

@@ -19,6 +19,7 @@ from itertools import accumulate
 from .errors import CapacityError, ParameterError
 from .exactnum import (
     IntMatrix,
+    compare_power_products,
     gram_det,
     is_prime,
     left_solver,
@@ -120,8 +121,9 @@ class LogDensity:
 
     ``pairs`` are (base, exponent) pairs with positive integer bases; they
     merge into the {base: exponent} map ``factors``, where repeated bases
-    add up and zero exponents and the base 1 are dropped.  Densities are
-    ordered by compare_power_products on their maps.
+    add up and zero exponents and the base 1 are dropped.  ``>`` orders
+    densities exactly (compare_power_products on their maps); ``<`` works by
+    reflection.
     """
 
     __slots__ = ("factors",)
@@ -139,6 +141,9 @@ class LogDensity:
 
     def log2_fraction(self):
         return log2_fraction(self.factors)
+
+    def __gt__(self, other: "LogDensity") -> bool:
+        return compare_power_products(self.factors, other.factors) > 0
 
     def __repr__(self) -> str:
         return f"LogDensity(2^{self.log2(4)})"

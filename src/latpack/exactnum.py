@@ -38,7 +38,7 @@ __all__ = [
     "compare_power_products",
     "expand_power_product",
     "div_round_half_even",
-    "format_scaled",
+    "format_decimal",
     "read_int_rows",
     "write_int_rows",
 ]
@@ -524,14 +524,12 @@ def div_round_half_even(a: int, b: int) -> int:
     return q
 
 
-def format_scaled(scaled: int, digits: int) -> str:
-    """Render the integer ``scaled`` / 10^digits with exactly ``digits`` decimals."""
+def format_decimal(x: Fraction, digits: int) -> str:
+    """Render x with exactly ``digits`` >= 1 decimals, rounded half to even."""
+    scaled = div_round_half_even(x.numerator * 10**digits, x.denominator)
     sign = "-" if scaled < 0 else ""
-    mag = abs(scaled)
-    if digits == 0:
-        return f"{sign}{mag}"
-    unit = 10**digits
-    return f"{sign}{mag // unit}.{mag % unit:0{digits}d}"
+    whole, frac = divmod(abs(scaled), 10**digits)
+    return f"{sign}{whole}.{frac:0{digits}d}"
 
 
 # The squaring loop in _log2_fixed is quadratic in the digit count: 1000
@@ -539,15 +537,10 @@ def format_scaled(scaled: int, digits: int) -> str:
 MAX_LOG2_DIGITS = 1000
 
 
-def _log2_product(factors, frac_bits: int) -> int:
-    """_log2_fixed of prod(base^exp) over a {base: exponent} map, expanded once."""
-    return _log2_fixed(*expand_power_product(factors), frac_bits)
-
-
-def log2_fraction(factors) -> Fraction:
+def log2_fraction(factors, frac_bits: int = LOG2_FRACTION_BITS) -> Fraction:
     """(1/2)*log2 of prod(base^exp) as an exact dyadic approximation."""
-    t = _log2_product(factors, LOG2_FRACTION_BITS)
-    return Fraction(t, 1 << (LOG2_FRACTION_BITS + 1))
+    t = _log2_fixed(*expand_power_product(factors), frac_bits)
+    return Fraction(t, 1 << (frac_bits + 1))
 
 
 def log2_of(factors, digits: int) -> str:
@@ -556,7 +549,4 @@ def log2_of(factors, digits: int) -> str:
         raise ParameterError(f"digits must lie in 1..{MAX_LOG2_DIGITS}, got {digits}")
     # Internal precision: at least 64 decimal digits worth of bits.
     frac_bits = max(256, math.ceil(3.322 * (digits + 24)))
-    t = _log2_product(factors, frac_bits)
-    scaled = div_round_half_even(t * 10**digits, 1 << (frac_bits + 1))
-    return format_scaled(scaled, digits)
-
+    return format_decimal(log2_fraction(factors, frac_bits), digits)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from .errors import ParameterError
 from .exactnum import (
     IntMatrix,
-    compare_power_products,
     div_round_half_even,
     is_prime,
     left_solver,
@@ -227,7 +226,7 @@ def mw_beater_search(p: int) -> LiftResult:
     if k < k_floor:
         raise ParameterError("exact GV scan fell below the guaranteed dimension")
     result = LiftResult(CraigParams(n, m, l), CodeSpec(2, n, k, d, codes.GV_EXISTS))
-    if compare_power_products(mw.factors, result.density.factors) >= 0:
+    if not result.density > mw:
         raise ParameterError(f"construction does not beat the reference density at p={p}")
     return result
 
@@ -264,9 +263,8 @@ def sweep_dimension(n: int) -> LiftResult:
 
     One binom_sums pass over binomial row n, binary splitting each gap
     between consecutive 8m - 1, gives every GV k, and candidates are ranked
-    by the exact order of their densities (memoized fixed-point logs of the
-    bases, expanded only when the logs cannot decide).  Deterministic
-    tie-break: higher density, then smaller m.
+    by LogDensity's exact order.  Deterministic tie-break: higher density,
+    then smaller m (max keeps the first of equal maxima, and m ascends).
     """
     if n < 8:
         raise ParameterError("sweep requires n >= 8")
@@ -276,18 +274,14 @@ def sweep_dimension(n: int) -> LiftResult:
     ms = _candidate_ms(n)
     coded = [m for m in ms if 8 * m <= n]
     gv_k = dict(zip(coded, gv_max_ks(n, [8 * m for m in coded])))
-    best = None  # (params, k, density)
+    results = []
     for m in ms:
         k = 0
         if m in gv_k:
             k = max(gv_k[m], table.best_k_at_distance(2, n, 8 * m))
-        params = CraigParams(n, m, l)
-        density = center_density_lb(params, k)
-        if best is None or compare_power_products(density.factors, best[2].factors) > 0:
-            best = (params, k, density)
-    params, k, _ = best
-    code = CodeSpec(2, n, k, 8 * params.m, codes.GV_EXISTS) if k else None
-    return LiftResult(params, code)
+        code = CodeSpec(2, n, k, 8 * m, codes.GV_EXISTS) if k else None
+        results.append(LiftResult(CraigParams(n, m, l), code))
+    return max(results, key=lambda r: r.density)
 
 
 def construction_a_density(c: CodeSpec) -> LogDensity:

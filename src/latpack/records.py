@@ -14,7 +14,7 @@ from fractions import Fraction
 from importlib.resources import files
 
 from .errors import ParameterError, ParseError
-from .exactnum import div_round_half_even, format_scaled
+from .exactnum import format_decimal
 from .craig import CraigParams, LogDensity, center_density_lb
 from . import codes as codes_mod
 from .codes import CodeSpec, read_csv_rows
@@ -109,10 +109,6 @@ def _as_log2_fraction(candidate) -> Fraction:
         f"candidate must be a LogDensity or an exact rational, got {type(candidate).__name__}")
 
 
-def _fmt4(x: Fraction) -> str:
-    return format_scaled(div_round_half_even(x.numerator * 10**4, x.denominator), 4)
-
-
 def compare(dim: int, candidate, records: RecordTable | None = None) -> CompareVerdict:
     """Margin of a candidate density over the best record at this dimension.
 
@@ -123,7 +119,7 @@ def compare(dim: int, candidate, records: RecordTable | None = None) -> CompareV
     best = records.best_record(dim)
     if best is None:
         raise ParameterError(f"no record stored for dimension {dim}")
-    return CompareVerdict(_fmt4(_as_log2_fraction(candidate) - best.value()), best)
+    return CompareVerdict(format_decimal(_as_log2_fraction(candidate) - best.value(), 4), best)
 
 
 @dataclass
@@ -250,7 +246,8 @@ def emit_table(table_id: int, tolerance: Fraction = AGREE_TOLERANCE) -> TableRep
         elif raw.known_name:
             note = f"{note}; {raw.known_name}"
         report.rows.append(TableRow(
-            raw.table, raw.dim, _fmt4(val), raw.stated, _fmt4(diff), within, note
+            raw.table, raw.dim, format_decimal(val, 4), raw.stated, format_decimal(diff, 4),
+            within, note
         ))
     return report
 

@@ -90,10 +90,9 @@ def lll_reduce(lattice, quality: Fraction = Fraction(99, 100)) -> ReducedBasis:
     reaches it and is updated in place on every size reduction and swap.
     b_k is size-reduced against b_{k-1}, ..., b_0 before the Lovasz test.
     """
+    if not isinstance(quality, (Fraction, int)) or not Fraction(1, 4) < quality < 1:
+        raise ParameterError(f"quality must be an exact rational in (1/4, 1), got {quality!r}")
     basis = [list(r) for r in _basis(lattice).m]
-    quality = Fraction(quality)
-    if not (Fraction(1, 4) < quality < 1):
-        raise ParameterError("quality must lie in (1/4, 1)")
     a, b = quality.numerator, quality.denominator
     r = len(basis)
     d = [1]

@@ -4,8 +4,9 @@ This is how `latpack` held and rendered a density before every formula
 wrote a {base: exponent} map: delta^2 expanded to one rational, reduced to
 lowest terms by a gcd, then `_log2_fixed`, then round half to even; at
 LOG2_FRACTION_BITS = 192 fractional bits for `log2_fraction`.
-`BigRationalSqrt` and `log2_of` are copied unchanged.  It is a test oracle
-only.
+`BigRationalSqrt`, `log2_of` and the decimal renderer `format_scaled` are
+copied unchanged, so no renderer under test renders the oracle's values.
+It is a test oracle only.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from latpack.exactnum import (
     _log2_fixed,
     div_round_half_even,
     expand_power_product,
-    format_scaled,
 )
 
 LOG2_FRACTION_BITS = 192  # fractional bits of BigRationalSqrt.log2_fraction
@@ -62,6 +62,16 @@ class BigRationalSqrt:
         """(1/2)*log2(num/den) as an exact dyadic approximation."""
         t = _log2_fixed(self.num, self.den, LOG2_FRACTION_BITS)
         return Fraction(t, 1 << (LOG2_FRACTION_BITS + 1))
+
+
+def format_scaled(scaled: int, digits: int) -> str:
+    """Render the integer ``scaled`` / 10^digits with exactly ``digits`` decimals."""
+    sign = "-" if scaled < 0 else ""
+    mag = abs(scaled)
+    if digits == 0:
+        return f"{sign}{mag}"
+    unit = 10**digits
+    return f"{sign}{mag // unit}.{mag % unit:0{digits}d}"
 
 
 def log2_of(v: BigRationalSqrt, digits: int) -> str:

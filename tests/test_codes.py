@@ -164,12 +164,12 @@ def test_load_code_table(tmp_path):
     t = load_code_table(f)
     assert t.best_known(2, 68, 8) == 32
     assert t.upper_bound(2, 128, 59) == 32
-    assert t.hypothetical[(2, 140, 69)] == 32
+    assert t.best_known(2, 140, 69) is None and t.upper_bound(2, 140, 69) is None
 
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     t = load_code_table(empty)
-    assert not t.known and not t.upper and not t.hypothetical
+    assert not t.known and not t.upper
 
     bad = tmp_path / "bad.csv"
     bad.write_text("q,n,k,d,status\n2,68,xx,32,table\n")

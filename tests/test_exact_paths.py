@@ -14,7 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "latpack"
 EXACTNUM_KERNELS = [
     "gso_extend", "gram_det", "echelon_pivots", "left_solver", "solve_left", "binom_sums",
     "_binom_split", "is_prime", "_log2_fixed", "compare_power_products",
-    "expand_power_product", "div_round_half_even",
+    "expand_power_product", "div_round_half_even", "format_decimal", "log2_fraction",
 ]
 INTEGER_MATH = {"isqrt", "lcm", "prod", "comb", "gcd"}
 

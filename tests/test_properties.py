@@ -1,16 +1,17 @@
 """Property tests for the shared elimination, rounding and solving routines.
 
 One HNF elimination serves `hnf` and `hnf_basis`, one GF(q) elimination
-serves `gf_rank` and `gf_solve`, and one round-half-even path renders every
-margin and logarithm; each property below checks one of them against an
-independent oracle (Gram determinants, brute-force spans, the polynomial
-membership criterion, `decimal` formatting, a `binom_sum` scan).  The
-table-driven GF(q) elimination is also checked against one that calls
-`gf_mul` for every entry.  The binary-splitting binomial prefix sums are
-checked against `math.comb` and against the one-coefficient walk they
-replaced (`tests/binom_reference.py`), the GV dimensions against the GV
-condition itself, the memoized base logs against the fixed-point kernel,
-and the exact power-product order against `Fraction`.  The rendering of a
+serves `gf_rank` and `gf_solve`, and one round-half-even renderer
+(`format_decimal`) prints every margin and logarithm; each property below
+checks one of them against an independent oracle (Gram determinants,
+brute-force spans, the polynomial membership criterion, `decimal`
+formatting, a `binom_sum` scan).  The table-driven GF(q) elimination is
+also checked against one that calls `gf_mul` for every entry.  The
+binary-splitting binomial prefix sums are checked against `math.comb` and
+against the one-coefficient walk they replaced (`tests/binom_reference.py`),
+the GV dimensions against the GV condition itself, the memoized base logs
+against the fixed-point kernel, and the exact power-product order, with
+`LogDensity`'s `>` and `<` on it, against `Fraction`.  The rendering of a
 density's {base: exponent} map is checked against the lowest-terms rational
 rendering it replaced (`tests/log2_reference.py`).  The integral
 Gram-Schmidt step that `gram_det` shares with LLL is checked against the
@@ -38,7 +39,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from latpack import exactnum
 from latpack.codes import (
@@ -67,6 +68,7 @@ from latpack.exactnum import (
     binom_sums,
     compare_power_products,
     echelon_pivots,
+    format_decimal,
     gram_det,
     hnf,
     hnf_basis,
@@ -524,6 +526,16 @@ def test_compare_margin_matches_decimal_rounding(delta):
     assert v.relation == ("beats" if scaled > 0 else "below" if scaled < 0 else "ties")
 
 
+@given(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9),
+       st.integers(1, 12))
+@example(Fraction(5, 2 * 10**4), 4)  # ties: 0.00025 -> 0.0002, -0.00035 -> -0.0004
+@example(Fraction(-7, 2 * 10**4), 4)
+@example(Fraction(-1, 20), 1)  # -0.05 -> "0.0", no sign
+def test_format_decimal_matches_decimal_rounding(x, digits):
+    scaled = round(x * 10**digits)  # Fraction.__round__ rounds half to even
+    assert format_decimal(x, digits) == f"{Decimal(scaled).scaleb(-digits):.{digits}f}"
+
+
 @given(st.data())
 def test_gv_max_k_is_the_largest_gv_k(data):
     n = data.draw(st.integers(1, 80))
@@ -741,6 +753,11 @@ def test_density_order_matches_expanded_fractions(a, b):
     x, y = LogDensity(a), LogDensity(b)
     want = _order(log2_reference.delta_sq(x), log2_reference.delta_sq(y))
     assert compare_power_products(x.factors, y.factors) == want
+    assert (x > y) == (want > 0)
+    assert (x < y) == (want < 0)
+    # The same product written differently: b^e as (b^2)^e * b^-e.
+    twin = LogDensity([(b * b, e) for b, e in a] + [(b, -e) for b, e in a])
+    assert not x > twin and not x < twin
 
 
 @given(density_pairs, st.integers(-10**6, 0), st.integers(-300, 300))

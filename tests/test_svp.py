@@ -131,6 +131,11 @@ def test_lll_quality_validation():
         lll_reduce(IntMatrix.identity(2), Fraction(1, 4))
     with pytest.raises(ParameterError):
         lll_reduce(IntMatrix.identity(2), Fraction(3, 2))
+    # Only a Fraction or an int is exact; anything else is refused before any
+    # arithmetic, NaN and infinity included.
+    for bad in (float("nan"), float("inf"), 0.99, "0.99"):
+        with pytest.raises(ParameterError, match="exact rational"):
+            lll_reduce(IntMatrix.identity(2), bad)
 
 
 def test_shortest_vector_examples():
