@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Non-interactive, report-emitting.  Exit codes: 0 success, 2 validation
-error, 3 capacity error.  All numeric output uses the configured decimal
+error, 3 capacity error.  The log2 density lines use the configured decimal
 precision (flag --precision, environment variable LATPACK_PRECISION,
-default 4).  Outside input (files, rational flags, the environment) is
-converted where it is read, so any other exception is a bug and propagates.
+default 4); table columns, diffs and margins always print 4 decimals.
+Outside input (files, rational flags, the environment) is converted where
+it is read, so any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .errors import CapacityError, LatpackError, ParameterError, ParseError
-from .exactnum import MAX_LOG2_DIGITS, next_prime
+from .exactnum import MAX_LOG2_DIGITS
 from . import craig, codes, lift, records, svp
 
 # Published dimension-k claims tracked for comparison in gv reports.
@@ -73,10 +74,9 @@ def _rational(text: str, flag: str) -> Fraction:
 
 
 def _params(args) -> craig.CraigParams:
-    craig.check_dimension(args.n)
-    l = args.l if args.l is not None else next_prime(args.n + 1)
-    m = args.m if args.m is not None else craig.choose_params(args.n).m
-    return craig.CraigParams(args.n, m, l)
+    default = craig.choose_params(args.n)
+    return craig.CraigParams(args.n, default.m if args.m is None else args.m,
+                             default.l if args.l is None else args.l)
 
 
 def _density_block(out, p, k, digits):
@@ -182,13 +182,14 @@ def cmd_pipeline24(args, out):
 def cmd_conditional(args, out):
     p = craig.CraigParams(args.n, args.m, args.l)
     required = codes.CodeSpec(2, args.req_n, args.req_k, args.req_d, codes.HYPOTHETICAL)
-    verdict = lift.conditional_eval(p, required)
+    status = lift.conditional_eval(p, required)
+    density = craig.center_density_lb(p, required.k)  # raises on a k out of range before any output
     out.write(f"required code: {required}\n")
-    out.write(f"achieved log2 density: {verdict.achieved_density.log2(args.precision)}\n")
-    out.write(f"status: {verdict.status}\n")
+    out.write(f"achieved log2 density: {density.log2(args.precision)}\n")
+    out.write(f"status: {status}\n")
     rec = records.builtin_records().best_record(args.n)
     if rec is not None:
-        v = records.compare(args.n, verdict.achieved_density)
+        v = records.compare(args.n, density)
         out.write(f"target record: {rec.log2_delta} ({rec.name}); margin {v.margin}\n")
 
 

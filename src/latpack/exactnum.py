@@ -548,5 +548,5 @@ def log2_of(factors, digits: int) -> str:
     if not 1 <= digits <= MAX_LOG2_DIGITS:
         raise ParameterError(f"digits must lie in 1..{MAX_LOG2_DIGITS}, got {digits}")
     # Internal precision: at least 64 decimal digits worth of bits.
-    frac_bits = max(256, math.ceil(3.322 * (digits + 24)))
+    frac_bits = max(256, -(-(digits + 24) * 3322 // 1000))  # ceil(3.322 * (digits + 24))
     return format_decimal(log2_fraction(factors, frac_bits), digits)

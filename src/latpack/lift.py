@@ -52,7 +52,6 @@ from .codes import (
 
 __all__ = [
     "LiftResult",
-    "ConditionalVerdict",
     "lift_sublattice",
     "lift_with_length_n_code",
     "improve_craig_8x",
@@ -86,13 +85,6 @@ class LiftResult:
     @property
     def min_norm_guarantee(self) -> int:
         return self.params.norm_guarantee(self.k)
-
-
-@dataclass
-class ConditionalVerdict:
-    required: CodeSpec
-    achieved_density: LogDensity
-    status: str  # realized | open | refuted-by-table | refuted-by-bound
 
 
 def _preimage_lattice(p: CraigParams, code_rows) -> IntegerLattice:
@@ -171,34 +163,30 @@ def improve_craig_8x(p: int) -> LiftResult:
     return lift_with_length_n_code(params, code)
 
 
-def conditional_eval(p: CraigParams, required: CodeSpec) -> ConditionalVerdict:
-    """Density a hypothetical code would achieve, with a table-backed verdict.
+def conditional_eval(p: CraigParams, required: CodeSpec) -> str:
+    """Table- and bound-backed verdict on the code a conditional row assumes.
 
     realized: a known code (or the exact GV bound) supplies the parameters;
-    open: consistent with the table's upper bound and the Griesmer bound but
-    not known to exist;
     refuted-by-table: the required distance exceeds the table's upper bound;
-    refuted-by-bound: the required length is below the Griesmer bound.
+    refuted-by-bound: the required length is below the Griesmer bound;
+    open: consistent with both bounds but not known to exist.  The density
+    such a code would give is center_density_lb(p, required.k).
     """
     if required.n not in (p.n, p.n + 1):
         raise ParameterError("required code length must be n or n+1")
     if required.d < 8 * p.m:
         raise ParameterError(f"required distance {required.d} below 8m = {8 * p.m}")
+    q, n, k, d = required.q, required.n, required.k, required.d
     table = codes.builtin_code_table()
-    achieved = center_density_lb(p, required.k)
-    known = table.best_known(required.q, required.n, required.k)
-    upper = table.upper_bound(required.q, required.n, required.k)
-    if (known is not None and known >= required.d) or (
-        required.q == 2 and gv_exists(required.n, required.k, required.d)
-    ):
-        status = "realized"
-    elif upper is not None and upper < required.d:
-        status = "refuted-by-table"
-    elif required.n < griesmer_length(required.q, required.k, required.d):
-        status = "refuted-by-bound"
-    else:
-        status = "open"
-    return ConditionalVerdict(required, achieved, status)
+    known = table.best_known(q, n, k)
+    if (known is not None and known >= d) or (q == 2 and gv_exists(n, k, d)):
+        return "realized"
+    upper = table.upper_bound(q, n, k)
+    if upper is not None and upper < d:
+        return "refuted-by-table"
+    if n < griesmer_length(q, k, d):
+        return "refuted-by-bound"
+    return "open"
 
 
 def mordell_weil_density(p: int) -> LogDensity:

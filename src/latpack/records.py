@@ -190,10 +190,10 @@ def _compute_row(raw: _RawRow):
     if raw.kind == "conditional":
         params = CraigParams(raw.dim, raw.m, raw.l)
         required = CodeSpec(2, raw.dim, raw.k, 8 * raw.m, codes_mod.HYPOTHETICAL)
-        verdict = lift_mod.conditional_eval(params, required)
+        status = lift_mod.conditional_eval(params, required)
         return (
-            verdict.achieved_density.log2_fraction(),
-            f"(m={raw.m}, l={raw.l}, k={raw.k}) requires {required} [{verdict.status}]",
+            center_density_lb(params, raw.k).log2_fraction(),
+            f"(m={raw.m}, l={raw.l}, k={raw.k}) requires {required} [{status}]",
         )
     if raw.kind == "craig8x":
         # The published construction is exactly 8x the recorded best Craig

@@ -222,6 +222,9 @@ def test_precision_flag():
     code, out = invoke("--precision", "6", "density", "--n", "2", "--m", "1", "--l", "3")
     assert code == 0
     assert "-1.792481" in out
+    # Margins keep 4 decimals whatever the precision.
+    code, out = invoke("--precision", "8", "compare", "--dim", "4096", "--value", "11529")
+    assert (code, out.splitlines()[-1]) == (0, "candidate 11529: beats by 2.0000")
 
 
 def test_invalid_precision_prints_nothing(tmp_path, monkeypatch):

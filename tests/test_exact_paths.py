@@ -14,7 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "latpack"
 EXACTNUM_KERNELS = [
     "gso_extend", "gram_det", "echelon_pivots", "left_solver", "solve_left", "binom_sums",
     "_binom_split", "is_prime", "_log2_fixed", "compare_power_products",
-    "expand_power_product", "div_round_half_even", "format_decimal", "log2_fraction",
+    "expand_power_product", "div_round_half_even", "format_decimal", "log2_fraction", "log2_of",
 ]
 INTEGER_MATH = {"isqrt", "lcm", "prod", "comb", "gcd"}
 
@@ -51,10 +51,10 @@ def test_exactnum_kernels_use_no_float():
 
 
 def test_the_lint_sees_each_kind_of_float_use():
-    # log2_of sizes its working precision with a float, off the certified
-    # value; it is out of scope, and the walk flags it.
-    assert sorted(float_uses(functions(SRC / "exactnum.py")["log2_of"])) == [
-        "float literal 3.322", "math.ceil"]
+    # choose_params picks its default m with a float, off the certified
+    # path; it is out of scope, and the walk flags it.
+    assert sorted(float_uses(functions(SRC / "craig.py")["choose_params"])) == [
+        "float literal 0.5", "float literal 2.0", "math.floor", "math.log", "true division"]
     snippet = "x = 1.5\ny = a / b\nz = float(a)\nw = math.log(a) + math.isqrt(a)\nv /= 2\n"
     assert sorted(float_uses(ast.parse(snippet))) == [
         "float literal 1.5", "math.log", "name float", "true division", "true division"]

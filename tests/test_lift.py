@@ -289,36 +289,30 @@ def test_improve_craig_8x_distance_margin():
 
 def test_conditional_eval():
     p = CraigParams(128, 4, 131)
-    v = conditional_eval(p, CodeSpec(2, 128, 59, 32, "hypothetical"))
-    assert v.achieved_density.log2(4) == "98.3941"  # frozen oracle value
-    assert v.status == "open"
+    assert conditional_eval(p, CodeSpec(2, 128, 59, 32, "hypothetical")) == "open"
+    assert center_density_lb(p, 59).log2(4) == "98.3941"  # frozen oracle value
 
     p = CraigParams(256, 12, 257)
-    v = conditional_eval(p, CodeSpec(2, 256, 56, 96, "hypothetical"))
-    assert v.achieved_density.log2(4) == "294.8105"
-    assert v.status == "open"
+    assert conditional_eval(p, CodeSpec(2, 256, 56, 96, "hypothetical")) == "open"
+    assert center_density_lb(p, 56).log2(4) == "294.8105"
 
     # a known code realizes the requirement
     p = CraigParams(68, 4, 71)
-    v = conditional_eval(p, CodeSpec(2, 68, 8, 32, "hypothetical"))
-    assert v.status == "realized"
+    assert conditional_eval(p, CodeSpec(2, 68, 8, 32, "hypothetical")) == "realized"
 
     # beyond the recorded upper bound (Griesmer refutes it too; the table's
     # verdict comes first)
     p = CraigParams(256, 12, 257)
-    v = conditional_eval(p, CodeSpec(2, 256, 99, 96, "hypothetical"))
-    assert v.status == "refuted-by-table"
+    assert conditional_eval(p, CodeSpec(2, 256, 99, 96, "hypothetical")) == "refuted-by-table"
 
     with pytest.raises(ParameterError):
         conditional_eval(CraigParams(128, 4, 131), CodeSpec(2, 128, 59, 31, "hypothetical"))
 
     # Griesmer: a [20, 20, 8] code needs n >= 8 + 4 + 2 + 1 + 16 = 31.
     p = CraigParams(20, 1, 23)
-    v = conditional_eval(p, CodeSpec(2, 20, 20, 8, "hypothetical"))
-    assert v.status == "refuted-by-bound"
+    assert conditional_eval(p, CodeSpec(2, 20, 20, 8, "hypothetical")) == "refuted-by-bound"
     # [20, 9, 8] meets the bound (8 + 4 + 2 + 1 + 5 = 20): left open.
-    v = conditional_eval(p, CodeSpec(2, 20, 9, 8, "hypothetical"))
-    assert v.status == "open"
+    assert conditional_eval(p, CodeSpec(2, 20, 9, 8, "hypothetical")) == "open"
 
 
 def test_mw_beater_search():
