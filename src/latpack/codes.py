@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from importlib.resources import files
 
 from .errors import CapacityError, ParameterError, ParseError
-from .exactnum import _log2_fixed, binom_sum, binom_sums, read_int_rows, write_int_rows
+from .exactnum import _log2_fixed, binom_sum_bit_lengths, read_int_rows, write_int_rows
 
 __all__ = [
     "CodeSpec",
@@ -291,23 +291,29 @@ def concatenate(outer, inner: LinearCode):
 
 
 def gv_exists(n: int, k: int, d: int) -> bool:
-    """Gilbert-Varshamov sufficient condition: V(n, d-1) < 2^(n-k+1), exact."""
+    """Gilbert-Varshamov sufficient condition: V(n, d-1) < 2^(n-k+1), exact.
+
+    V(n, d-1) = C(n, 0..d-1) summed is below 2^(n-k+1) exactly when its bit
+    length is at most n-k+1, and binom_sum_bit_lengths gives that length.
+    """
     if not (1 <= k <= n) or not (1 <= d <= n):
         raise ParameterError("need 1 <= k <= n and 1 <= d <= n")
-    return binom_sum(n, d - 1) < (1 << (n - k + 1))
+    return binom_sum_bit_lengths(n, [d - 1])[0] <= n - k + 1
 
 
 def gv_max_ks(n: int, ds) -> list[int]:
-    """gv_max_k(n, d) for each d in ``ds``, from one binom_sums pass over row n.
+    """gv_max_k(n, d) for each d in ``ds``, from one walk up binomial row n.
 
-    The pass costs one binary-splitting product per gap between the sorted
-    distinct d - 1, whatever the number of d.
+    The largest k with V(n, d-1) < 2^(n-k+1) is n + 1 minus the bit length
+    of V(n, d-1), clipped to 0..n.  binom_sum_bit_lengths gives every such
+    length from bounds on the row, and expands a sum exactly only where its
+    bounds straddle a power of two.
     """
     ds = list(ds)
     if not all(1 <= d <= n for d in ds):
         raise ParameterError("need 1 <= d <= n")
-    sums = binom_sums(n, [d - 1 for d in ds])
-    return [min(max(n + 1 - v.bit_length(), 0), n) for v in sums]
+    bits = binom_sum_bit_lengths(n, [d - 1 for d in ds])
+    return [min(max(n + 1 - b, 0), n) for b in bits]
 
 
 def gv_max_k(n: int, d: int) -> int:

@@ -1,12 +1,13 @@
 """Exact arithmetic kernel.
 
-Arbitrary-precision binomial sums, deterministic primality, integer-matrix
-Hermite normal form (no src caller: the tests and the benchmark tracer use
-it), back-substitution and pivot volumes for echelon bases,
-the integral Gram-Schmidt step behind other Gram determinants and LLL, and
-for products of integer powers (every density here is one) their base-2
-logarithms rendered to a requested number of decimal digits and their exact
-order, plus the integer-row text format of basis and generator files.
+Arbitrary-precision binomial sums and their exact bit lengths from bounds,
+deterministic primality, integer-matrix Hermite normal form (no src caller:
+the tests and the benchmark tracer use it), back-substitution and pivot
+volumes for echelon bases, the integral Gram-Schmidt step behind other
+Gram determinants and LLL, and for products of integer powers (every density
+here is one) their base-2 logarithms rendered to a requested number of
+decimal digits and their exact order, plus the integer-row text format of
+basis and generator files.
 Everything here is pure integer/rational arithmetic; no floating point
 enters any certified path.
 """
@@ -24,6 +25,7 @@ __all__ = [
     "IntMatrix",
     "binom_sum",
     "binom_sums",
+    "binom_sum_bit_lengths",
     "is_prime",
     "next_prime",
     "hnf",
@@ -159,6 +161,17 @@ def _binom_split(n: int, a: int, b: int) -> tuple[int, int, int]:
     return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
+def _checked_rs(n: int, rs) -> list[int]:
+    """``rs`` as a list, each r in 0..n; raises ParameterError otherwise."""
+    rs = list(rs)
+    if n < 0 or any(r < 0 for r in rs):
+        raise ParameterError("binom_sum arguments must be nonnegative")
+    for r in rs:
+        if r > n:
+            raise ParameterError(f"binom_sum requires r <= n, got r={r} n={n}")
+    return rs
+
+
 def binom_sums(n: int, rs) -> list[int]:
     """Sums of binomial coefficients C(n,0..r) for each r in ``rs``, exact.
 
@@ -167,12 +180,7 @@ def binom_sums(n: int, rs) -> list[int]:
     running sum and moves the coefficient to C(n, b) = C(n, a) * P / Q.  Both
     divisions are exact.
     """
-    rs = list(rs)
-    if n < 0 or any(r < 0 for r in rs):
-        raise ParameterError("binom_sum arguments must be nonnegative")
-    for r in rs:
-        if r > n:
-            raise ParameterError(f"binom_sum requires r <= n, got r={r} n={n}")
+    rs = _checked_rs(n, rs)
     sums = {}
     total = 0
     c = 1
@@ -189,6 +197,69 @@ def binom_sums(n: int, rs) -> list[int]:
 def binom_sum(n: int, r: int) -> int:
     """Sum of binomial coefficients C(n,0..r), exact."""
     return binom_sums(n, [r])[0]
+
+
+# binom_sum_bit_lengths keeps its bounds to about this many bits.
+_BOUND_BITS = 256
+# The walk adds at most this many terms one at a time; farther, it jumps in
+# exact math.perm chunks of this many factors of the row.
+_CHUNK = 64
+# The descending series stops at a term below 2^-_TAIL_BITS of its sum.
+_TAIL_BITS = 64
+
+
+def binom_sum_bit_lengths(n: int, rs) -> list[int]:
+    """binom_sum(n, r).bit_length() for each r in ``rs``, exact.
+
+    For 2r >= n - 1 it is n, or n + 1 at r = n: V(n, r), the sum of
+    C(n, 0..r), is then at least 2^(n-1) and below 2^n unless r = n.
+
+    Below that, one walk up row n through the sorted r keeps floor and
+    ceiling bounds c_lo * 2^e <= C(n, i) <= c_hi * 2^e at the last r = i,
+    and v_lo, v_hi alike for V(n, i), renormalised to about _BOUND_BITS
+    bits.  An r at most _CHUNK past i adds its terms one at a time.  A
+    farther r moves C by exact math.perm chunks of the row and bounds V(n, r)
+    afresh by the descending series C(n, r) * sum_t prod_{s<t} (r-s)/(n-r+1+s),
+    stopped at a term below 2^-_TAIL_BITS of its sum; that term's geometric
+    tail bound covers the rest.  An r whose two bounds differ in bit length
+    is decided by the exact binom_sums, as compare_power_products expands
+    only what its bounds leave open.
+    """
+    rs = _checked_rs(n, rs)
+    bits, undecided = {}, []
+    i = e = 0
+    c_lo = c_hi = v_lo = v_hi = 1
+    for r in sorted(set(rs)):
+        if 2 * r >= n - 1:
+            bits[r] = n + (r == n)
+            continue
+        if r - i <= _CHUNK:
+            for j in range(i, r):
+                c_lo, c_hi = c_lo * (n - j) // (j + 1), -(-c_hi * (n - j) // (j + 1))
+                v_lo, v_hi = v_lo + c_lo, v_hi + c_hi
+        else:
+            for a in range(i, r, _CHUNK):
+                b = min(a + _CHUNK, r)
+                p, q = math.perm(n - a, b - a), math.perm(b, b - a)
+                s = max(c_hi.bit_length() - _BOUND_BITS, 0)
+                c_lo, c_hi, e = (c_lo >> s) * p // q, -((-c_hi >> s) * p // q), e + s
+            t_lo = t_hi = 1 << _BOUND_BITS
+            s_lo = s_hi = t = 0
+            while t_hi << _TAIL_BITS >= s_lo:
+                s_lo, s_hi, den = s_lo + t_lo, s_hi + t_hi, n - r + 1 + t
+                t_lo, t_hi, t = t_lo * (r - t) // den, -(-t_hi * (r - t) // den), t + 1
+            # Each later term is at most (r-t)/(n-r+1+t) times the one before.
+            s_hi += -(-t_hi * (n - r + 1 + t) // (n - 2 * r + 1 + 2 * t))
+            v_lo, v_hi = c_lo * s_lo >> _BOUND_BITS, -(-c_hi * s_hi >> _BOUND_BITS)
+        i, s = r, max(c_hi.bit_length() - _BOUND_BITS, 0)
+        c_lo, c_hi, v_lo, v_hi, e = c_lo >> s, -(-c_hi >> s), v_lo >> s, -(-v_hi >> s), e + s
+        if v_lo.bit_length() == v_hi.bit_length():
+            bits[r] = v_lo.bit_length() + e
+        else:
+            undecided.append(r)
+    if undecided:
+        bits.update((r, v.bit_length()) for r, v in zip(undecided, binom_sums(n, undecided)))
+    return [bits[r] for r in rs]
 
 
 # The first 13 prime bases prove primality for every n below

@@ -249,10 +249,11 @@ def _candidate_ms(n: int) -> list[int]:
 def sweep_dimension(n: int) -> LiftResult:
     """Best density over a bounded window of m, with k from GV and the code table.
 
-    One binom_sums pass over binomial row n, binary splitting each gap
-    between consecutive 8m - 1, gives every GV k, and candidates are ranked
-    by LogDensity's exact order.  Deterministic tie-break: higher density,
-    then smaller m (max keeps the first of equal maxima, and m ascends).
+    One gv_max_ks walk up binomial row n, bounding each V(n, 8m - 1) just
+    tightly enough to read its bit length, gives every GV k, and candidates
+    are ranked by LogDensity's exact order.  Deterministic tie-break: higher
+    density, then smaller m (max keeps the first of equal maxima, and m
+    ascends).
     """
     if n < 8:
         raise ParameterError("sweep requires n >= 8")

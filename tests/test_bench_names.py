@@ -47,4 +47,5 @@ def test_traced_names_without_a_call_site_in_src():
     uncalled = {f"{mod}.{fn}" for mod, fns in _tracer().TRACED.items() for fn in fns
                 if fn not in called}
     assert uncalled == {"codes.gf_solve", "craig.membership", "craig.verify_section",
-                        "exactnum.hnf", "exactnum.hnf_basis", "exactnum.solve_left"}
+                        "exactnum.binom_sum", "exactnum.hnf", "exactnum.hnf_basis",
+                        "exactnum.solve_left"}

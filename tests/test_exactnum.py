@@ -10,6 +10,7 @@ from latpack.exactnum import (
     _MR_LIMIT,
     IntMatrix,
     binom_sum,
+    binom_sum_bit_lengths,
     binom_sums,
     compare_power_products,
     div_round_half_even,
@@ -61,6 +62,21 @@ def test_binom_sums_one_walk_serves_every_r():
         binom_sums(3, [1, 4])
     with pytest.raises(ParameterError):
         binom_sums(3, [-1])
+
+
+def test_binom_sum_bit_lengths_examples():
+    assert binom_sum_bit_lengths(24, [5, 0, 24, 5, 2]) == [16, 1, 25, 16, 9]
+    assert binom_sum_bit_lengths(7, []) == []
+    assert binom_sum_bit_lengths(4096, [1023]) == [3316]
+
+
+@pytest.mark.parametrize("kernel", [binom_sums, binom_sum_bit_lengths])
+def test_binom_kernels_share_one_input_check(kernel):
+    with pytest.raises(ParameterError, match=r"^binom_sum requires r <= n, got r=4 n=3$"):
+        kernel(3, [1, 4])
+    for n, rs in ((3, [-1]), (-1, [])):
+        with pytest.raises(ParameterError, match="^binom_sum arguments must be nonnegative$"):
+            kernel(n, rs)
 
 
 def _naive_is_prime(n):

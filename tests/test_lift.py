@@ -10,7 +10,7 @@ import pytest
 from latpack import exactnum
 from latpack.cli import run
 from latpack.errors import ParameterError
-from latpack.exactnum import is_prime, next_prime
+from latpack.exactnum import next_prime
 from latpack.craig import MAX_N, CraigParams, center_density_lb, craig_basis, membership
 from latpack.codes import (
     CONSTRUCTED,
@@ -273,18 +273,33 @@ def test_improve_craig_8x():
 
 
 def test_improve_craig_8x_distance_margin():
-    # The concatenated distance 4*floor(n/7) covers 8(m+1), one step past the
-    # 8m the lift needs, at every prime p = n + 1 from the regime edge
-    # n = 1222 to MAX_N + 1, with m chosen as improve_craig_8x chooses it.
-    primes = [p for p in range(1223, MAX_N + 2) if is_prime(p)]
-    assert (primes[0], primes[-1], len(primes)) == (1223, 65537, 6344)
-    for p in primes:
+    # The paper's claim 3 holds "for every prime p with p - 1 >= 1222" because
+    # the concatenated distance 4*floor(n/7) reaches the 8m the lift needs,
+    # with m chosen as improve_craig_8x chooses it.  From the regime edge to
+    # MAX_N + 1 it covers 8(m+1), one step more, at every prime p = n + 1.
+    # Below the edge the condition first holds at p = 1051 and then fails at
+    # seven primes, the last 1117, so the paper's 1222 is conservative.
+    sieve = bytearray([0, 0]) + bytearray([1]) * MAX_N
+    for q in range(2, math.isqrt(MAX_N + 1) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, MAX_N + 2, q)))
+
+    def margin(p: int) -> int:
         n = p - 1
         m = math.floor(n / (2.0 * math.log(n + 1)) + 0.5)  # nearest, half up
-        assert 4 * (n // 7) >= 8 * (m + 1), p
-    r = improve_craig_8x(MAX_N + 1)
-    assert r.params.n == MAX_N
-    assert r.code.d == 4 * (MAX_N // 7) >= 8 * r.params.m
+        return 4 * (n // 7) - 8 * m
+
+    primes = [p for p in range(1223, MAX_N + 2) if sieve[p]]
+    assert (primes[0], primes[-1], len(primes)) == (1223, 65537, 6344)
+    assert min(margin(p) for p in primes) >= 8
+    below = [p for p in range(2, 1223) if sieve[p]]
+    assert next(p for p in below if margin(p) >= 0) == 1051
+    assert [p for p in below if p > 1051 and margin(p) < 0] == [
+        1061, 1063, 1069, 1087, 1091, 1103, 1117]
+    for p in (1223, MAX_N + 1):
+        r = improve_craig_8x(p)
+        assert r.params.n == p - 1
+        assert r.code.d == 4 * ((p - 1) // 7) >= 8 * r.params.m
 
 
 def test_conditional_eval():

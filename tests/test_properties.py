@@ -9,6 +9,8 @@ formatting, a `binom_sum` scan).  The table-driven GF(q) elimination is
 also checked against one that calls `gf_mul` for every entry.  The
 binary-splitting binomial prefix sums are checked against `math.comb` and
 against the one-coefficient walk they replaced (`tests/binom_reference.py`),
+their bit lengths from bounds on the row against the exact sums (also with
+the bounds' precision patched down, so that the exact fallback decides),
 the GV dimensions against the GV condition itself, the memoized base logs
 against the fixed-point kernel, and the exact power-product order, with
 `LogDensity`'s `>` and `<` on it, against `Fraction`.  The rendering of a
@@ -62,9 +64,11 @@ from latpack.exactnum import (
     LOG2_FRACTION_BITS,
     IntMatrix,
     _BINOM_LEAF,
+    _CHUNK,
     _base_log,
     _log2_fixed,
     binom_sum,
+    binom_sum_bit_lengths,
     binom_sums,
     compare_power_products,
     echelon_pivots,
@@ -598,13 +602,15 @@ def binom_rows(draw):
     """A row n <= 3000 and a list of r in 0..n for binom_sums.
 
     The r are a running sum of gaps of lengths around one and two leaves
-    of the binary splitting, with 0, n and repeats mixed in and the list
-    shuffled, so segments start, end and split at and beside leaf edges.
+    of the binary splitting and around one chunk of binom_sum_bit_lengths'
+    walk, with 0, n and repeats mixed in and the list shuffled, so segments
+    start, end and split at and beside leaf and chunk edges.
     """
     n = draw(st.integers(0, 3000))
-    leaf = _BINOM_LEAF
+    leaf, chunk = _BINOM_LEAF, _CHUNK
     gap = st.one_of(
-        st.sampled_from([0, 1, leaf - 1, leaf, leaf + 1, 2 * leaf - 1, 2 * leaf, 2 * leaf + 1]),
+        st.sampled_from([0, 1, leaf - 1, leaf, leaf + 1, 2 * leaf - 1, 2 * leaf, 2 * leaf + 1,
+                         chunk - 1, chunk, chunk + 1]),
         st.integers(0, n),
     )
     r = draw(st.integers(0, n))
@@ -619,7 +625,9 @@ def binom_rows(draw):
 @given(binom_rows())
 def test_binom_sums_match_walk_reference(row):
     n, rs = row
-    assert binom_sums(n, rs) == binom_reference.binom_sums(n, rs)
+    sums = binom_reference.binom_sums(n, rs)
+    assert binom_sums(n, rs) == sums
+    assert binom_sum_bit_lengths(n, rs) == [v.bit_length() for v in sums]
 
 
 def _gv_k_by_definition(n: int, volume: int) -> int:
@@ -639,11 +647,69 @@ def test_gv_max_ks_match_walk_reference(row):
 
 @pytest.mark.parametrize("n", [8190, 16380])
 def test_binom_sums_on_sweep_windows(n):
-    # The r that sweep_dimension asks for: 8m - 1 for each candidate m.
-    ds = [8 * m for m in _candidate_ms(n) if 8 * m <= n]
-    sums = binom_reference.binom_sums(n, [d - 1 for d in ds])
-    assert binom_sums(n, [d - 1 for d in ds]) == sums
-    assert gv_max_ks(n, ds) == [_gv_k_by_definition(n, v) for v in sums]
+    # The r that sweep_dimension asks for, 8m - 1 for each candidate m, and
+    # those of a scan of every m with 8m <= n.
+    full = [8 * m - 1 for m in range(1, n // 8 + 1)]
+    window = [8 * m - 1 for m in _candidate_ms(n) if 8 * m <= n]
+    sums = dict(zip(full, binom_reference.binom_sums(n, full)))
+    assert binom_sums(n, window) == [sums[r] for r in window]
+    ks = [_gv_k_by_definition(n, sums[r]) for r in window]
+    assert gv_max_ks(n, [r + 1 for r in window]) == ks
+    with mock.patch.object(exactnum, "binom_sums", wraps=exactnum.binom_sums) as exact:
+        for rs in (window, full):
+            assert binom_sum_bit_lengths(n, rs) == [sums[r].bit_length() for r in rs]
+    exact.assert_not_called()  # no sum here lies within its bounds of a power of two
+
+
+def _exact_bit_lengths(n: int, rs) -> list[int]:
+    return [v.bit_length() for v in binom_sums(n, rs)]
+
+
+def test_binom_sum_bit_lengths_every_r_of_small_rows():
+    # The whole row in one call walks term by term; each r alone, past
+    # _CHUNK, jumps and bounds its sum by the descending series.
+    for n in range(201):
+        want = _exact_bit_lengths(n, range(n + 1))
+        assert binom_sum_bit_lengths(n, range(n + 1)) == want, n
+        assert binom_sum_bit_lengths(n, range(n, -1, -1)) == want[::-1], n
+        assert [binom_sum_bit_lengths(n, [r])[0] for r in range(n + 1)] == want, n
+
+
+@pytest.mark.parametrize("n, r, power", [
+    (23, 3, 11),  # the Golay sphere: 1 + 23 + 253 + 1771
+    (90, 2, 12),  # 1 + 90 + 4005
+    *[(2**j - 1, 1, j) for j in (2, 3, 8, 13, 16)],  # Hamming spheres
+    *[(2 * t + 1, t, 2 * t) for t in (0, 1, 5, 50, 2047)],  # half of an odd row
+    *[(n, n, n) for n in (0, 1, 7, 64, 4096)],  # the whole row
+])
+def test_binom_sum_bit_lengths_at_exact_powers_of_two(n, r, power):
+    assert binom_sum(n, r) == 2**power
+    assert binom_sum_bit_lengths(n, [r]) == [power + 1]
+    assert binom_sum_bit_lengths(n, [max(r - 1, 0), r]) == _exact_bit_lengths(n, [max(r - 1, 0), r])
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 41, 999, 1000, 4096, 4097, 16380, 16381])
+def test_binom_sum_bit_lengths_at_the_closed_form_edge(n):
+    # 2r >= n - 1 takes the closed form; the r just below it walk the row.
+    rs = list(range(max((n - 1) // 2 - 1, 0), (n - 1) // 2 + 3))
+    assert binom_sum_bit_lengths(n, rs) == _exact_bit_lengths(n, rs)
+    for r in rs:
+        assert binom_sum_bit_lengths(n, [r]) == _exact_bit_lengths(n, [r])
+
+
+@pytest.mark.parametrize("constant, value", [("_BOUND_BITS", 4), ("_TAIL_BITS", 1)])
+def test_binom_sum_bit_lengths_fall_back_to_exact_sums_at_low_precision(constant, value):
+    # Bounds kept to 4 bits, or a series stopped at a term below half its
+    # sum, leave many sums straddling a power of two; the exact binom_sums
+    # decides those, and every answer stays exact.
+    cases = [(n, range(n + 1)) for n in (30, 120, 257)]
+    cases += [(n, range(r0, n, 70)) for n in (300, 1001) for r0 in range(0, 70, 9)]
+    cases += [(n, [r]) for n in range(60, 400, 21) for r in range(0, n // 2, 5)]
+    want = [_exact_bit_lengths(n, rs) for n, rs in cases]
+    with (mock.patch.object(exactnum, constant, value),
+          mock.patch.object(exactnum, "binom_sums", wraps=exactnum.binom_sums) as exact):
+        assert [binom_sum_bit_lengths(n, rs) for n, rs in cases] == want
+    exact.assert_called()
 
 
 @given(st.one_of(st.integers(1, 10**4), st.integers(1, 10**40)))
