@@ -164,7 +164,7 @@ def craig_basis(p: CraigParams) -> IntegerLattice:
     top = [math.comb(m, i) * (-1) ** (m - i) for i in range(m + 1)]
     rows = [[0] * j + top + [0] * (n - m - j) for j in range(n - m + 1)]
     rows += [[0] * j + [-l, l] + [0] * (n - 1 - j) for j in range(n - m + 1, n)]
-    return IntegerLattice(IntMatrix(rows))
+    return IntegerLattice(IntMatrix._trusted(rows))
 
 
 def membership(p: CraigParams, f) -> bool:

@@ -51,7 +51,17 @@ LOG2_FRACTION_BITS = 192
 
 
 class IntMatrix:
-    """Dense integer matrix, row-major, arbitrary-precision entries."""
+    """Dense integer matrix, row-major, arbitrary-precision entries.
+
+    ``IntMatrix(rows)`` copies the rows and checks them, row by row: at
+    least one row and one column, each row as wide as the first ("ragged
+    rows"), then every entry an int ("entries must be integers").  Outside
+    input (a basis file, rows handed to svp) goes through it.
+    ``IntMatrix._trusted(rows)`` takes a nonempty list of equal-width int
+    lists as it is, with no copy and no check; only rows latpack built
+    itself go through it (craig_basis, lift._preimage_lattice and the end of
+    svp.lll_reduce).
+    """
 
     __slots__ = ("rows", "cols", "m")
 
@@ -69,6 +79,12 @@ class IntMatrix:
         self.rows = len(data)
         self.cols = width
         self.m = data
+
+    @classmethod
+    def _trusted(cls, data: list[list[int]]) -> "IntMatrix":
+        self = object.__new__(cls)
+        self.rows, self.cols, self.m = len(data), len(data[0]), data
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -96,13 +112,15 @@ class IntMatrix:
 
 
 def _int_tokens(tokens, what: str, line: int) -> list[int]:
-    out = []
-    for t in tokens:
-        try:
-            out.append(int(t))
-        except ValueError:
-            raise ParseError(f"{what} file line {line}: {t!r} is not an integer") from None
-    return out
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        for t in tokens:  # name the first token int() rejects
+            try:
+                int(t)
+            except ValueError:
+                raise ParseError(f"{what} file line {line}: {t!r} is not an integer") from None
+        raise
 
 
 def read_int_rows(fh, what: str, header: str) -> tuple[list[int], list[list[int]]]:
@@ -131,9 +149,20 @@ def read_int_rows(fh, what: str, header: str) -> tuple[list[int], list[list[int]
 
 
 def write_int_rows(fh, header, rows) -> None:
-    """The format read_int_rows reads: the header line, then one line per row."""
-    for row in [header, *rows]:
-        fh.write(" ".join(str(x) for x in row) + "\n")
+    """The format read_int_rows reads: the header line, then one line per row.
+
+    Each line is the row's ints joined by single spaces.  The zero runs
+    before and after a row's nonzero span are written by string repetition,
+    so only the span goes through str.
+    """
+    fh.write(" ".join(map(str, header)) + "\n")
+    for row in rows:
+        lo = _first_nonzero(row)
+        if lo is None:
+            fh.write(" ".join(["0"] * len(row)) + "\n")
+        else:
+            hi = len(row) - _first_nonzero(row[::-1])
+            fh.write("0 " * lo + " ".join(map(str, row[lo:hi])) + " 0" * (len(row) - hi) + "\n")
 
 
 # Ranges of at most this many binomial terms are multiplied out term by term.
@@ -389,6 +418,16 @@ def hnf_basis(M: IntMatrix) -> IntMatrix:
     return IntMatrix(mat[: len(pivots)])
 
 
+def _first_nonzero(row: list[int]) -> int | None:
+    """Column of the first nonzero entry of an int list, or None when there is none.
+
+    filter and list.index scan the zeros in C; ``len(row) - _first_nonzero(row[::-1])``
+    is the end of the nonzero span.
+    """
+    lead = next(filter(None, row), 0)
+    return row.index(lead) if lead else None
+
+
 def echelon_pivots(rows) -> list[int] | None:
     """Pivot columns of an echelon basis, or None.
 
@@ -400,7 +439,7 @@ def echelon_pivots(rows) -> list[int] | None:
     """
     pivots = []
     for row in rows:
-        pc = next((c for c, a in enumerate(row) if a), None)
+        pc = _first_nonzero(row)
         if pc is None or (pivots and pc <= pivots[-1]):
             return None
         pivots.append(pc)
@@ -419,10 +458,11 @@ def left_solver(B: IntMatrix):
     pivots = echelon_pivots(B.m)
     if pivots is None:
         raise ParameterError("solving needs an echelon basis (rows starting at increasing columns)")
-    # Each row's pivot column and entry and its nonzero span pc..hi-1.
+    # Each row's pivot column and entry and its nonzero span pc..hi-1: the
+    # pivot scan covers the leading zeros, this one the trailing zeros.
     steps = []
     for row, pc in zip(B.m, pivots):
-        hi = len(row) - next(c for c, a in enumerate(reversed(row)) if a)
+        hi = len(row) - _first_nonzero(row[::-1])
         steps.append((pc, row[pc], hi, row[pc:hi]))
 
     def solve(v) -> list[int] | None:

@@ -103,12 +103,14 @@ def _preimage_lattice(p: CraigParams, code_rows) -> IntegerLattice:
     solve = left_solver(B)
     W = [[x % 2 for x in solve([p.l * (a - (j == 0) * sum(c)) for j, a in enumerate(c)])]
          for c in code_rows]
-    rows = [[2 * a for a in row] for row in B.m]
+    # B[j] is zero outside columns j..j+m, so only that band is doubled.
+    rows = [row[:j] + [2 * a for a in row[j:j + p.m + 1]] + row[j + p.m + 1:]
+            for j, row in enumerate(B.m)]
     for i, w in zip(codes._gf_eliminate(2, W, p.n), W):
-        row = rows[i] = [0] * (p.n + 1)  # w*B, and B[j] is zero past column j + m
+        row = rows[i] = [0] * (p.n + 1)  # w*B
         for j in [j for j, bit in enumerate(w) if bit]:
             row[j:j + p.m + 1] = [a + b for a, b in zip(row[j:j + p.m + 1], B[j][j:j + p.m + 1])]
-    return IntegerLattice(IntMatrix(rows))
+    return IntegerLattice(IntMatrix._trusted(rows))
 
 
 def lift_sublattice(p: CraigParams, V: LinearCode) -> LiftResult:

@@ -127,7 +127,7 @@ def lll_reduce(lattice, quality: Fraction = Fraction(99, 100)) -> ReducedBasis:
             lam_i[k - 1] = (new_dk * t + nu * lam_i[k]) // d[k + 1]
         d[k] = new_dk
         k = max(k - 1, 1)
-    return ReducedBasis(IntMatrix(basis), d, lam)
+    return ReducedBasis(IntMatrix._trusted(basis), d, lam)
 
 
 def shortest_vector(lattice, stats: dict | None = None):

@@ -12,9 +12,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "latpack"
 
 EXACTNUM_KERNELS = [
-    "gso_extend", "gram_det", "echelon_pivots", "left_solver", "solve_left", "binom_sums",
-    "_binom_split", "binom_sum_bit_lengths", "is_prime", "_log2_fixed", "compare_power_products",
-    "expand_power_product", "div_round_half_even", "format_decimal", "log2_fraction", "log2_of",
+    "gso_extend", "gram_det", "_first_nonzero", "echelon_pivots", "left_solver", "solve_left",
+    "binom_sums", "_binom_split", "binom_sum_bit_lengths", "is_prime", "_log2_fixed",
+    "compare_power_products", "expand_power_product", "div_round_half_even", "format_decimal",
+    "log2_fraction", "log2_of",
 ]
 INTEGER_MATH = {"isqrt", "lcm", "prod", "comb", "perm", "gcd"}
 
