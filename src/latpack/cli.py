@@ -79,11 +79,11 @@ def _params(args) -> craig.CraigParams:
                              default.l if args.l is None else args.l)
 
 
-def _density_block(out, p, k, digits):
-    density = craig.center_density_lb(p, k)  # raises on a k out of range before any output
+def _density_block(out, result, digits):
+    p, k, density = result.params, result.k, result.density  # a bad k raises before any output
     out.write(f"params: n={p.n} m={p.m} l={p.l} k={k}\n")
     out.write(f"log2 center density: {density.log2(digits)} ({'lifted' if k else 'plain'})\n")
-    out.write(f"min norm guarantee: {p.norm_guarantee(k)}\n")
+    out.write(f"min norm guarantee: {result.min_norm_guarantee}\n")
     rec = records.builtin_records().best_record(p.n)
     if rec is not None:
         verdict = records.compare(p.n, density)
@@ -107,7 +107,9 @@ def cmd_construct(args, out):
 
 
 def cmd_density(args, out):
-    _density_block(out, _params(args), args.k, args.precision)
+    p = _params(args)
+    code = codes.CodeSpec(2, p.n + 1, args.k, 8 * p.m, codes.HYPOTHETICAL) if args.k else None
+    _density_block(out, lift.LiftResult(p, code), args.precision)
 
 
 def cmd_lift(args, out):
@@ -124,7 +126,7 @@ def cmd_lift(args, out):
         code = codes.read_generator(fh, check)
     result = lifts[code.n](p, code)
     out.write(f"code: {result.code}\n")
-    _density_block(out, p, result.k, args.precision)
+    _density_block(out, result, args.precision)
     if result.lattice is not None:
         out.write(f"constructed basis rank {result.lattice.rank}; "
                   f"vol^2 = {result.lattice.vol_sq}\n")
@@ -163,27 +165,28 @@ def cmd_table(args, out):
 
 def cmd_sweep(args, out):
     result = lift.sweep_dimension(args.n)
-    _density_block(out, result.params, result.k, args.precision)
+    _density_block(out, result, args.precision)
 
 
 def cmd_mwbeat(args, out):
     result = lift.mw_beater_search(args.p)
     mw = lift.mordell_weil_density(args.p)
     out.write(f"dimension {result.params.n}: code {result.code}\n")
-    _density_block(out, result.params, result.k, args.precision)
+    _density_block(out, result, args.precision)
     out.write(f"reference density (formula): {mw.log2(args.precision)}\n")
 
 
 def cmd_pipeline24(args, out):
     result = lift.pipeline_24n(args.dim)
-    _density_block(out, result.params, result.k, args.precision)
+    _density_block(out, result, args.precision)
 
 
 def cmd_conditional(args, out):
     p = craig.CraigParams(args.n, args.m, args.l)
     required = codes.CodeSpec(2, args.req_n, args.req_k, args.req_d, codes.HYPOTHETICAL)
-    status = lift.conditional_eval(p, required)
-    density = craig.center_density_lb(p, required.k)  # raises on a k out of range before any output
+    result = lift.LiftResult(p, required)
+    status = lift.conditional_eval(result)
+    density = result.density  # raises on a k out of range before any output
     out.write(f"required code: {required}\n")
     out.write(f"achieved log2 density: {density.log2(args.precision)}\n")
     out.write(f"status: {status}\n")

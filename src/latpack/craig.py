@@ -81,10 +81,6 @@ class CraigParams:
         if not is_prime(self.l):
             raise ParameterError(f"l must be prime, got {self.l}")
 
-    def norm_guarantee(self, k: int = 0) -> int:
-        """Guaranteed minimum squared norm: 2m, or 8m with a lifted code (k > 0)."""
-        return 8 * self.m if k else 2 * self.m
-
 
 class IntegerLattice:
     """Exact integer lattice: rank r basis rows in ambient dimension N."""
@@ -189,7 +185,7 @@ def center_density_lb(p: CraigParams, k: int) -> LogDensity:
     """delta^2 = 2^(2k-n) * m^n / (l^(2(m-1)) * (n+1)), exact.
 
     k = 0 is the bare lattice (norm >= 2m); k > 0 assumes a supporting
-    [n+1, k, >= 8m] code, which the caller is responsible for checking.
+    [n+1, k, >= 8m] code, which lift.LiftResult checks.
     """
     if not 0 <= k <= p.n:
         # The subcode lives inside the [n+1, n, 2] even-weight code.

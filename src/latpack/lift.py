@@ -16,7 +16,7 @@ different code sources.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ParameterError
 from .exactnum import (
@@ -68,11 +68,21 @@ SWEEP_WINDOW = 3
 
 @dataclass
 class LiftResult:
-    """A lifted (or, with no code, bare) Craig lattice; density and guarantee follow from k."""
+    """A lifted (or, with no code, bare) Craig lattice; density and guarantee follow from its code.
+
+    The one check that a code backs 8m: binary, of length n or n+1, d >= 8m.
+    """
 
     params: CraigParams
     code: CodeSpec | None
     lattice: IntegerLattice | None = None
+
+    def __post_init__(self):
+        c, p = self.code, self.params
+        if c and (c.q != 2 or c.n not in (p.n, p.n + 1)):
+            raise ParameterError(f"code {c} is not binary of length n or n+1 = {p.n + 1}")
+        if c and c.d < 8 * p.m:
+            raise ParameterError(f"code distance {c.d} is below the required 8m = {8 * p.m}")
 
     @property
     def k(self) -> int:
@@ -84,7 +94,7 @@ class LiftResult:
 
     @property
     def min_norm_guarantee(self) -> int:
-        return self.params.norm_guarantee(self.k)
+        return 8 * self.params.m if self.code else 2 * self.params.m
 
 
 def _preimage_lattice(p: CraigParams, code_rows) -> IntegerLattice:
@@ -120,29 +130,25 @@ def lift_sublattice(p: CraigParams, V: LinearCode) -> LiftResult:
     the ambient dimension fits under BASIS_CAP (the density formula does not
     need it).
     """
-    if V.q != 2:
-        raise ParameterError("subcode must be binary")
     if V.n != p.n + 1:
         raise ParameterError(f"subcode length must be n+1 = {p.n + 1}")
     for row in V.generator:
         if sum(row) % 2 != 0:
             raise ParameterError("subcode is not inside the even-weight code")
-    if V.spec.d < 8 * p.m:
-        raise ParameterError(
-            f"subcode distance {V.spec.d} is below the required 8m = {8 * p.m}"
-        )
-    lattice = _preimage_lattice(p, V.generator) if p.n + 1 <= BASIS_CAP else None
-    return LiftResult(p, V.spec, lattice)
+    result = LiftResult(p, V.spec)  # refuses the code before any basis is built
+    result.lattice = _preimage_lattice(p, V.generator) if p.n + 1 <= BASIS_CAP else None
+    return result
 
 
 def lift_with_length_n_code(p: CraigParams, c: LinearCode) -> LiftResult:
-    """Parity-extend a binary [n, k, >= 8m] code (extend_parity rejects any other q), then lift."""
+    """Parity-extend a binary [n, k, >= 8m] code, then lift."""
     if c.n != p.n:
         raise ParameterError(f"code length must be n = {p.n}")
-    if c.spec.d < 8 * p.m:
-        raise ParameterError(f"distance {c.spec.d} is below the required 8m = {8 * p.m}")
-    # Parity extension preserves k, so the lift's density is this code's.
-    return replace(lift_sublattice(p, extend_parity(c)), code=c.spec)
+    # Checked before the extension, which would round an odd d = 8m - 1 up to 8m.
+    # The extension keeps k, so the lift's density is this code's.
+    result = LiftResult(p, c.spec)
+    result.lattice = lift_sublattice(p, extend_parity(c)).lattice
+    return result
 
 
 def improve_craig_8x(p: int) -> LiftResult:
@@ -165,28 +171,24 @@ def improve_craig_8x(p: int) -> LiftResult:
     return lift_with_length_n_code(params, code)
 
 
-def conditional_eval(p: CraigParams, required: CodeSpec) -> str:
+def conditional_eval(result: LiftResult) -> str:
     """Table- and bound-backed verdict on the code a conditional row assumes.
 
     realized: a known code (or the exact GV bound) supplies the parameters;
     refuted-by-table: the required distance exceeds the table's upper bound;
     refuted-by-bound: the required length is below the Griesmer bound;
     open: consistent with both bounds but not known to exist.  The density
-    such a code would give is center_density_lb(p, required.k).
+    such a code would give is result.density.
     """
-    if required.n not in (p.n, p.n + 1):
-        raise ParameterError("required code length must be n or n+1")
-    if required.d < 8 * p.m:
-        raise ParameterError(f"required distance {required.d} below 8m = {8 * p.m}")
-    q, n, k, d = required.q, required.n, required.k, required.d
+    n, k, d = result.code.n, result.code.k, result.code.d
     table = codes.builtin_code_table()
-    known = table.best_known(q, n, k)
-    if (known is not None and known >= d) or (q == 2 and gv_exists(n, k, d)):
+    known = table.best_known(2, n, k)
+    if (known is not None and known >= d) or gv_exists(n, k, d):
         return "realized"
-    upper = table.upper_bound(q, n, k)
+    upper = table.upper_bound(2, n, k)
     if upper is not None and upper < d:
         return "refuted-by-table"
-    if n < griesmer_length(q, k, d):
+    if n < griesmer_length(2, k, d):
         return "refuted-by-bound"
     return "open"
 

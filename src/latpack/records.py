@@ -188,12 +188,11 @@ def _compute_row(raw: _RawRow):
         val = center_density_lb(params, raw.k)
         return val.log2_fraction(), f"(m={raw.m}, l={raw.l}, k={raw.k})"
     if raw.kind == "conditional":
-        params = CraigParams(raw.dim, raw.m, raw.l)
-        required = CodeSpec(2, raw.dim, raw.k, 8 * raw.m, codes_mod.HYPOTHETICAL)
-        status = lift_mod.conditional_eval(params, required)
-        return (
-            center_density_lb(params, raw.k).log2_fraction(),
-            f"(m={raw.m}, l={raw.l}, k={raw.k}) requires {required} [{status}]",
+        result = lift_mod.LiftResult(CraigParams(raw.dim, raw.m, raw.l),
+                                     CodeSpec(2, raw.dim, raw.k, 8 * raw.m, codes_mod.HYPOTHETICAL))
+        return result.density.log2_fraction(), (
+            f"(m={raw.m}, l={raw.l}, k={raw.k}) requires {result.code} "
+            f"[{lift_mod.conditional_eval(result)}]"
         )
     if raw.kind == "craig8x":
         # The published construction is exactly 8x the recorded best Craig

@@ -30,14 +30,17 @@ def test_density_report():
 @pytest.mark.parametrize("argv", [
     pytest.param(["density", "--n", "52", "--m", "6", "--l", "54"], id="k0"),
     pytest.param(["density", "--n", "52", "--m", "6", "--l", "54", "--k", "1"], id="k1"),
+    # l = 53 is prime, but d = 8m = 56 > 53: no [53, 1, 56] code exists.
+    pytest.param(["density", "--n", "52", "--m", "7", "--l", "53", "--k", "1"],
+                 id="d-above-length"),
     pytest.param(["conditional", "--n", "128", "--m", "4", "--l", "133", "--req-n", "128",
                   "--req-k", "59", "--req-d", "32"], id="conditional"),  # 133 = 7 * 19
     pytest.param(["construct", "--n", "10", "--m", "2", "--l", "12"], id="construct"),
     pytest.param(["lift", "--n", "10", "--m", "1", "--l", "12"], id="lift"),
 ])
 def test_density_composite_l_prints_nothing(argv, tmp_path):
-    # A composite l backs no norm bound, so CraigParams refuses it before
-    # the first line is written.
+    # A composite l backs no norm bound, and a code with d > its length backs
+    # no 8m: CraigParams or CodeSpec refuses each before the first line.
     code = tmp_path / "code.txt"
     code.write_text("2 10 1\n" + " ".join(["1"] * 10) + "\n")  # [10, 1, 10] >= 8m
     if argv[0] == "lift":
@@ -327,7 +330,9 @@ def test_size_inputs_answer_in_bounded_time(tmp_path):
     ambient.write_text("2 512 1\n" + " ".join(["1"] * 512) + "\n")  # [512, 1, 512]
     huge_prime = "1000000000000000000000000007"  # above exactnum._MR_LIMIT
     at_caps = [
-        (["density", "--n", n, "--m", str((MAX_N + 1) // 2), "--l", top, "--k", n], 0),
+        # the largest l^(2(m-1)); a lift needs 8m <= n+1, so it takes m = n/8
+        (["density", "--n", n, "--m", str((MAX_N + 1) // 2), "--l", top], 0),
+        (["density", "--n", n, "--m", m, "--l", top, "--k", n], 0),
         (["construct", "--n", "10", "--m", "2", "--l", top], 0),
         (["construct", "--n", n], 3),  # basis construction stops at ambient 512
         (["lift", "--n", n, "--m", m, "--l", top, "--code", str(code)], 0),

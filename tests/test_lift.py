@@ -14,6 +14,7 @@ from latpack.exactnum import next_prime
 from latpack.craig import MAX_N, CraigParams, center_density_lb, craig_basis, membership
 from latpack.codes import (
     CONSTRUCTED,
+    HYPOTHETICAL,
     CodeSpec,
     LinearCode,
     concatenate,
@@ -24,6 +25,7 @@ from latpack.codes import (
     repetition,
 )
 from latpack.lift import (
+    LiftResult,
     _preimage_lattice,
     conditional_eval,
     construction_a_density,
@@ -63,11 +65,56 @@ def test_reduced_basis_spans_even_weight_code():
         assert sum(row) % 2 == 0
 
 
-def test_lift_distance_guard():
-    p = CraigParams(7, 1, 11)
-    full = even_code(full_even_weight_code(8), 8, 2)
-    with pytest.raises(ParameterError, match="below the required"):
-        lift_sublattice(p, full)
+def _weight_row_code(length, weight, d):
+    """A [length, 1, d] code (d as claimed) spanned by `weight` ones."""
+    return LinearCode(CodeSpec(2, length, 1, d, CONSTRUCTED),
+                      [[1] * weight + [0] * (length - weight)])
+
+
+# Each way into a lift, at A(20, 2, 23) with 8m = 16, given a code of claimed
+# distance d, and how many bases it builds when the code is accepted.  The
+# length-n code carries an odd weight-d word, so a refusal after the parity
+# extension (which rounds 15 up to 16) would come too late; an even-weight
+# subcode cannot have odd d, so its d = 15 is a claim.
+_GUARDED = {
+    "LiftResult": (lambda p, d: LiftResult(p, CodeSpec(2, 21, 1, d, CONSTRUCTED)), 0),
+    "lift_sublattice": (lambda p, d: lift_sublattice(p, _weight_row_code(21, 16, d)), 1),
+    "lift_with_length_n_code":
+        (lambda p, d: lift_with_length_n_code(p, _weight_row_code(20, d, d)), 1),
+    "conditional_eval":
+        (lambda p, d: conditional_eval(LiftResult(p, CodeSpec(2, 20, 1, d, HYPOTHETICAL))), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GUARDED))
+def test_lift_distance_guard(monkeypatch, name):
+    import latpack.lift as lift
+
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return _preimage_lattice(*args)
+
+    monkeypatch.setattr(lift, "_preimage_lattice", counting)
+    p = CraigParams(20, 2, 23)
+    make, bases = _GUARDED[name]
+    with pytest.raises(ParameterError, match="below the required 8m = 16"):
+        make(p, 15)
+    assert built == []
+    result = make(p, 16)
+    assert len(built) == bases
+    if name == "conditional_eval":
+        assert result == "realized"
+    else:
+        assert result.min_norm_guarantee == 16
+
+
+@pytest.mark.parametrize("spec", [CodeSpec(4, 21, 1, 16), CodeSpec(2, 19, 1, 16),
+                                  CodeSpec(2, 22, 1, 16)], ids=["q4", "n-1", "n+2"])
+def test_lift_result_refuses_code_shape(spec):
+    with pytest.raises(ParameterError, match="not binary of length n or n"):
+        LiftResult(CraigParams(20, 2, 23), spec)
 
 
 def test_lift_subcode_guard():
@@ -200,8 +247,7 @@ def test_lift_proves_l_prime_once(monkeypatch):
     assert calls == [11]
 
 
-@pytest.mark.parametrize("name", ["lift_sublattice", "membership", "norm_guarantee",
-                                  "verify_section"])
+@pytest.mark.parametrize("name", ["lift_sublattice", "membership", "verify_section"])
 def test_params_are_not_reproved_prime(monkeypatch, name):
     # CraigParams proves l prime when built; nothing that takes one tests it
     # again.  verify_section builds A(l-1, m, l)'s params, whose constructor
@@ -224,7 +270,6 @@ def test_params_are_not_reproved_prime(monkeypatch, name):
     {
         "lift_sublattice": lambda: lift_sublattice(p, extend_parity(repetition(7, 2))),
         "membership": lambda: membership(p, [0] * 8),
-        "norm_guarantee": lambda: p.norm_guarantee(1),
         "verify_section": lambda: craig.verify_section(p),
     }[name]()
     assert calls == []
@@ -250,7 +295,7 @@ def test_lift_result_stores_only_what_it_cannot_derive(name):
     k = r.code.k if r.code else 0
     assert r.k == k
     assert r.density.factors == center_density_lb(r.params, k).factors
-    assert r.min_norm_guarantee == r.params.norm_guarantee(k)
+    assert r.min_norm_guarantee == (8 if r.code else 2) * r.params.m
 
 
 def test_improve_craig_8x():
@@ -303,31 +348,34 @@ def test_improve_craig_8x_distance_margin():
 
 
 def test_conditional_eval():
+    def verdict(p, n, k, d):
+        return conditional_eval(LiftResult(p, CodeSpec(2, n, k, d, HYPOTHETICAL)))
+
     p = CraigParams(128, 4, 131)
-    assert conditional_eval(p, CodeSpec(2, 128, 59, 32, "hypothetical")) == "open"
+    assert verdict(p, 128, 59, 32) == "open"
     assert center_density_lb(p, 59).log2(4) == "98.3941"  # frozen oracle value
 
     p = CraigParams(256, 12, 257)
-    assert conditional_eval(p, CodeSpec(2, 256, 56, 96, "hypothetical")) == "open"
+    assert verdict(p, 256, 56, 96) == "open"
     assert center_density_lb(p, 56).log2(4) == "294.8105"
 
     # a known code realizes the requirement
     p = CraigParams(68, 4, 71)
-    assert conditional_eval(p, CodeSpec(2, 68, 8, 32, "hypothetical")) == "realized"
+    assert verdict(p, 68, 8, 32) == "realized"
 
     # beyond the recorded upper bound (Griesmer refutes it too; the table's
     # verdict comes first)
     p = CraigParams(256, 12, 257)
-    assert conditional_eval(p, CodeSpec(2, 256, 99, 96, "hypothetical")) == "refuted-by-table"
+    assert verdict(p, 256, 99, 96) == "refuted-by-table"
 
     with pytest.raises(ParameterError):
-        conditional_eval(CraigParams(128, 4, 131), CodeSpec(2, 128, 59, 31, "hypothetical"))
+        verdict(CraigParams(128, 4, 131), 128, 59, 31)
 
     # Griesmer: a [20, 20, 8] code needs n >= 8 + 4 + 2 + 1 + 16 = 31.
     p = CraigParams(20, 1, 23)
-    assert conditional_eval(p, CodeSpec(2, 20, 20, 8, "hypothetical")) == "refuted-by-bound"
+    assert verdict(p, 20, 20, 8) == "refuted-by-bound"
     # [20, 9, 8] meets the bound (8 + 4 + 2 + 1 + 5 = 20): left open.
-    assert conditional_eval(p, CodeSpec(2, 20, 9, 8, "hypothetical")) == "open"
+    assert verdict(p, 20, 9, 8) == "open"
 
 
 def test_mw_beater_search():
