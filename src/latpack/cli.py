@@ -108,6 +108,8 @@ def cmd_construct(args, out):
 
 def cmd_density(args, out):
     p = _params(args)
+    if args.k and 8 * p.m > p.n + 1:
+        raise ParameterError(f"no code of length n+1 = {p.n + 1} reaches distance 8m = {8 * p.m}")
     code = codes.CodeSpec(2, p.n + 1, args.k, 8 * p.m, codes.HYPOTHETICAL) if args.k else None
     _density_block(out, lift.LiftResult(p, code), args.precision)
 

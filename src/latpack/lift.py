@@ -5,9 +5,9 @@ even-weight [n+1, n, 2] code), pick a subcode V of dimension k with
 distance >= 8m, and take the preimage, a lattice of index 2^(n-k) whose
 nonzero vectors have squared norm >= 8m: center density
 2^(k-n/2) m^(n/2) / (l^(m-1) (n+1)^(1/2)).  The Craig basis B has odd
-pivots, so x -> x*B mod 2 is one-to-one and the preimage is Construction A
-over B (Conway & Sloane, SPLAG ch. 5) of the code W that maps onto V, read
-off the closed-form lifts l*(c - wt(c)*e_0) with no solving over GF(2).
+pivots, so B mod 2 is unit upper triangular and the preimage is
+Construction A over B (Conway & Sloane, SPLAG ch. 5): each reduced row of V
+lifts by one parity walk down B's band, with no integer solve.
 Everything downstream (the 8x Craig improvement, the conditional tables,
 the GV pipelines, the dimension sweeps) instantiates that formula with
 different code sources.
@@ -23,7 +23,6 @@ from .exactnum import (
     IntMatrix,
     div_round_half_even,
     is_prime,
-    left_solver,
     next_prime,
 )
 from .craig import (
@@ -100,26 +99,25 @@ class LiftResult:
 def _preimage_lattice(p: CraigParams, code_rows) -> IntegerLattice:
     """Echelon basis of {v in A : v mod 2 in span(code_rows)}: Construction A over B.
 
-    Row i of the Craig basis B starts at column i with an odd pivot (+-1 or
-    -l), so x -> x*B mod 2 is one-to-one from F_2^n onto A mod 2, the
-    even-weight code, and the preimage is {x*B : x mod 2 in W}.  The
-    closed-form lifts l*(c - wt(c)*e_0) lie in l*A_n, inside A = A(n, m, l),
-    and are c mod 2 since l is odd, so their coordinates mod 2 span W.  W's
-    reduced echelon rows and 2*e_i off its pivots span W + 2*Z^n, so row i
-    is w*B for W's row w with pivot i, else 2*B[i]: echelon, with pivots
-    multiplying to 2^(n-k) * (+-l^(m-1)), k the rank of W.
+    Row j of the Craig basis B starts at column j with an odd pivot (+-1 or
+    -l), so B mod 2 is unit upper triangular.  A reduced row v of the code,
+    with pivot i, lifts by one walk down the band: add B[j], for j = i..n-1,
+    wherever the sum and v differ in parity at column j.  The lift is x*B
+    with x 0/1 and x_i = 1, and is v mod 2 at column n too, as both have even
+    weight.  Row i of the basis is that lift, or 2*B[i] off the code's pivots:
+    echelon, with pivots multiplying to 2^(n-k) * (+-l^(m-1)), k the rank.
     """
-    B = craig_basis(p).basis
-    solve = left_solver(B)
-    W = [[x % 2 for x in solve([p.l * (a - (j == 0) * sum(c)) for j, a in enumerate(c)])]
-         for c in code_rows]
+    n, m = p.n, p.m
+    B = craig_basis(p).basis.m
     # B[j] is zero outside columns j..j+m, so only that band is doubled.
-    rows = [row[:j] + [2 * a for a in row[j:j + p.m + 1]] + row[j + p.m + 1:]
-            for j, row in enumerate(B.m)]
-    for i, w in zip(codes._gf_eliminate(2, W, p.n), W):
-        row = rows[i] = [0] * (p.n + 1)  # w*B
-        for j in [j for j, bit in enumerate(w) if bit]:
-            row[j:j + p.m + 1] = [a + b for a, b in zip(row[j:j + p.m + 1], B[j][j:j + p.m + 1])]
+    rows = [row[:j] + [2 * a for a in row[j:j + m + 1]] + row[j + m + 1:]
+            for j, row in enumerate(B)]
+    V = [list(v) for v in code_rows]  # reduced here, not in the caller's rows
+    for i, v in zip(codes._gf_eliminate(2, V, n + 1), V):
+        row = rows[i] = [0] * (n + 1)
+        for j in range(i, n):
+            if (row[j] ^ v[j]) & 1:
+                row[j:j + m + 1] = [a + b for a, b in zip(row[j:j + m + 1], B[j][j:j + m + 1])]
     return IntegerLattice(IntMatrix._trusted(rows))
 
 
@@ -159,7 +157,6 @@ def improve_craig_8x(p: int) -> LiftResult:
     the density gain over the bare lattice is exactly 2^3.
     """
     n = p - 1
-    check_dimension(n)
     if n < 1222:
         raise ParameterError("regime requires p - 1 >= 1222 (inner distance may fall short)")
     m = math.floor(n / (2.0 * math.log(n + 1)) + 0.5)  # nearest, half up

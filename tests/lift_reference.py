@@ -1,10 +1,11 @@
 """Reference preimage lattice for the differential tests of `latpack.lift`.
 
-This is the `_preimage_lattice` that `latpack.lift` used before codewords
-lifted in closed form: it solves each codeword over GF(2) against the Craig
-basis mod 2 and sums the basis rows the solution picks.  It is copied
-unchanged but for solving each codeword with a fresh `codes.gf_solve`, since
-the factor-once solver it used is gone.  It is a test oracle only.
+This is the `_preimage_lattice` that `latpack.lift` used before its
+closed-form lifts and the parity walk that followed them: it solves each
+codeword over GF(2) against the Craig basis mod 2 and sums the basis rows
+the solution picks.  It is copied unchanged but for solving each codeword
+with a fresh `codes.gf_solve`, since the factor-once solver it used is
+gone.  It is a test oracle only.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ def test_density_report():
 @pytest.mark.parametrize("argv", [
     pytest.param(["density", "--n", "52", "--m", "6", "--l", "54"], id="k0"),
     pytest.param(["density", "--n", "52", "--m", "6", "--l", "54", "--k", "1"], id="k1"),
-    # l = 53 is prime, but d = 8m = 56 > 53: no [53, 1, 56] code exists.
+    # l = 53 is prime, but 8m = 56 > n+1 = 53: no [53, 1, 56] code exists.
     pytest.param(["density", "--n", "52", "--m", "7", "--l", "53", "--k", "1"],
                  id="d-above-length"),
     pytest.param(["conditional", "--n", "128", "--m", "4", "--l", "133", "--req-n", "128",
@@ -40,12 +40,20 @@ def test_density_report():
 ])
 def test_density_composite_l_prints_nothing(argv, tmp_path):
     # A composite l backs no norm bound, and a code with d > its length backs
-    # no 8m: CraigParams or CodeSpec refuses each before the first line.
+    # no 8m: CraigParams, cmd_density or CodeSpec refuses each before the
+    # first line.
     code = tmp_path / "code.txt"
     code.write_text("2 10 1\n" + " ".join(["1"] * 10) + "\n")  # [10, 1, 10] >= 8m
     if argv[0] == "lift":
         argv = argv + ["--code", str(code)]
     assert invoke(*argv) == (2, "")
+
+
+def test_density_names_8m_and_code_length(capsys):
+    # The refusal names the code length n+1, not the CodeSpec's own n.
+    assert invoke("density", "--n", "52", "--m", "7", "--l", "53", "--k", "1") == (2, "")
+    assert capsys.readouterr().err == (
+        "error: no code of length n+1 = 53 reaches distance 8m = 56\n")
 
 
 def test_gv_report():

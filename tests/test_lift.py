@@ -145,15 +145,17 @@ def test_lift_of_full_image_is_identity():
 
 
 def test_lift_solves_nothing_over_gf2(monkeypatch):
-    # Codewords lift in closed form, so no codeword is solved over GF(2).
-    # Once the code is built (its rank check eliminates over GF(2)), the lift
-    # runs one GF(2) elimination: of the k x n coordinates, mod 2, of the
-    # lifts over the Craig basis, which puts W in reduced echelon form.
+    # Each reduced codeword lifts by a parity walk down the Craig band, so
+    # no integer solver runs.  Once the code is built (its rank check
+    # eliminates over GF(2)), the lift runs one GF(2) elimination: of a copy
+    # of the k x (n+1) generator, which stays as the caller gave it.
     import latpack.codes as codes
+    from latpack import craig, lift
 
     p = CraigParams(31, 1, 37)
     code = extend_parity(LinearCode(CodeSpec(2, 31, 2, 8, CONSTRUCTED),
                                     [[1] * 8 + [0] * 23, [0] * 23 + [1] * 8]))
+    generator = [list(row) for row in code.generator]
     calls = []
     eliminate = codes._gf_eliminate
 
@@ -161,9 +163,17 @@ def test_lift_solves_nothing_over_gf2(monkeypatch):
         calls.append((q, len(work), ncols))
         return eliminate(q, work, ncols)
 
+    def no_solve(*args):
+        raise AssertionError("the lift reached an integer solver")
+
     monkeypatch.setattr(codes, "_gf_eliminate", counted)
+    for module in (exactnum, craig):
+        monkeypatch.setattr(module, "left_solver", no_solve)
+    monkeypatch.setattr(exactnum, "solve_left", no_solve)
+    assert not hasattr(lift, "left_solver") and not hasattr(lift, "solve_left")
     r = lift_sublattice(p, code)
-    assert calls == [(2, 2, 31)]
+    assert calls == [(2, 2, 32)]
+    assert code.generator == generator
     assert r.lattice.vol_sq == craig_basis(p).vol_sq << (2 * 29)
 
 
@@ -315,6 +325,9 @@ def test_improve_craig_8x():
         improve_craig_8x(1217)  # p - 1 < 1222
     with pytest.raises(ParameterError):
         improve_craig_8x(1398)  # not prime
+    # CraigParams checks the dimension before any work that depends on n.
+    with pytest.raises(ParameterError, match="n must be <= 65536"):
+        improve_craig_8x(65539)
 
 
 def test_improve_craig_8x_distance_margin():

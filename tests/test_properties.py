@@ -26,8 +26,8 @@ or ending rather than starting at distinct columns) reaches `gso_extend`
 and is refused by the solver.  The one Gray-code codeword walk that
 serves every field, and the concatenated rows built from the same scaled
 rows, are checked against the recursive walk and the symbol-by-symbol
-builder they replaced (`tests/codes_reference.py`); closed-form preimage
-lattices are checked against the GF(2) solve per codeword
+builder they replaced (`tests/codes_reference.py`); preimage lattices
+lifted by the parity walk are checked against the GF(2) solve per codeword
 (`tests/lift_reference.py`).  The parity rule d + (d mod 2) is checked
 against a walk of the extended code, and membership by repeated division by
 x - 1 against the derivative criterion it replaced
@@ -493,7 +493,7 @@ def preimage_cases(draw):
 
 @given(preimage_cases())
 @settings(max_examples=60)
-def test_closed_form_lift_matches_gf2_solve_reference(case):
+def test_parity_walk_lift_matches_gf2_solve_reference(case):
     # A lifted basis is echelon with pivots 0..n-1, not the reference's
     # reduced HNF; equal reduced HNFs mean the same lattice.
     p, rows = case
