@@ -6,7 +6,9 @@ lowest terms by a gcd, then `_log2_fixed`, then round half to even; at
 LOG2_FRACTION_BITS = 192 fractional bits for `log2_fraction`.
 `BigRationalSqrt`, `log2_of` and the decimal renderer `format_scaled` are
 copied unchanged, so no renderer under test renders the oracle's values.
-It is a test oracle only.
+`expanded_log2_fraction` is `latpack.exactnum.log2_fraction` as it was
+before it bracketed the products: the whole unreduced expansion, then
+`_log2_fixed`.  It is a test oracle only.
 """
 
 from __future__ import annotations
@@ -83,6 +85,11 @@ def log2_of(v: BigRationalSqrt, digits: int) -> str:
     t = _log2_fixed(v.num, v.den, frac_bits)
     scaled = div_round_half_even(t * 10**digits, 1 << (frac_bits + 1))
     return format_scaled(scaled, digits)
+
+
+def expanded_log2_fraction(factors, frac_bits: int) -> Fraction:
+    """(1/2)*log2 of prod(base^exp) from the full unreduced expansion."""
+    return Fraction(_log2_fixed(*expand_power_product(factors), frac_bits), 1 << (frac_bits + 1))
 
 
 def expanded(factors) -> BigRationalSqrt:

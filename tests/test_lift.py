@@ -360,6 +360,18 @@ def test_improve_craig_8x_distance_margin():
         assert r.code.d == 4 * ((p - 1) // 7) >= 8 * r.params.m
 
 
+def test_abstract_claims_1_and_2_over_their_stated_ranges():
+    # Claim 1: a GV lattice denser than Mordell-Weil in dimension 2p - 2 for
+    # every prime p = 5 mod 6 in 1667..2039 (dims 3332-4076); claim 2: the
+    # 24t pipeline at every multiple of 24 in 4104..8640.  Each call raises
+    # ParameterError where its guarantee fails.
+    primes = [p for p in range(1667, 2040) if p % 6 == 5 and exactnum.is_prime(p)]
+    assert [mw_beater_search(p).params.n for p in primes] == [2 * p - 2 for p in primes]
+    dims = range(4104, 8641, 24)
+    assert [pipeline_24n(n).params.n for n in dims] == list(dims)
+    assert (len(primes), len(dims)) == (23, 190)
+
+
 def test_conditional_eval():
     def verdict(p, n, k, d):
         return conditional_eval(LiftResult(p, CodeSpec(2, n, k, d, HYPOTHETICAL)))

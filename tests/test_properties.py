@@ -15,7 +15,9 @@ the GV dimensions against the GV condition itself, the memoized base logs
 against the fixed-point kernel, and the exact power-product order, with
 `LogDensity`'s `>` and `<` on it, against `Fraction`.  The rendering of a
 density's {base: exponent} map is checked against the lowest-terms rational
-rendering it replaced (`tests/log2_reference.py`).  The integral
+rendering it replaced, and `log2_fraction`'s bracketed products against the
+full expansion they replaced, bit for bit, also where only that expansion
+can decide (`tests/log2_reference.py`).  The integral
 Gram-Schmidt step that `gram_det` shares with LLL is checked against the
 Bareiss determinant of the Gram matrix it replaced (`tests/gram_reference.py`).
 Echelon bases solve by back-substitution along their own pivots, checked
@@ -58,7 +60,7 @@ from latpack.codes import (
     gv_max_ks,
     min_distance,
 )
-from latpack.craig import CraigParams, LogDensity, craig_basis, membership
+from latpack.craig import MAX_L, CraigParams, LogDensity, craig_basis, membership
 from latpack.errors import ParameterError, RankError
 from latpack.exactnum import (
     LOG2_FRACTION_BITS,
@@ -76,6 +78,7 @@ from latpack.exactnum import (
     gram_det,
     hnf,
     hnf_basis,
+    log2_fraction,
     log2_of,
     next_prime,
     solve_left,
@@ -566,14 +569,14 @@ def test_log2_of_is_monotone(a, b, c, d, near, digits):
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 8))
 def test_log2_of_rounds_ties_to_even(j, digits):
-    # Stub the fixed-point kernel so the value lies exactly halfway between
-    # two renderings: T / 2^(b+1) = (2j+1) / 2^(digits+1), an odd multiple
-    # of half a unit in the last decimal place.
-    def tie(num, den, frac_bits):
+    # Stub the kernel's squaring loop so the value lies exactly halfway
+    # between two renderings: T / 2^(b+1) = (2j+1) / 2^(digits+1), an odd
+    # multiple of half a unit in the last decimal place.
+    def tie(e, mant, frac_bits):
         return (2 * j + 1) << (frac_bits - digits)
 
     exact = Fraction(2 * j + 1, 2 ** (digits + 1))
-    with mock.patch.object(exactnum, "_log2_fixed", side_effect=tie) as kernel:
+    with mock.patch.object(exactnum, "_log2_squarings", side_effect=tie) as kernel:
         got = log2_of({3: 1}, digits)
     kernel.assert_called_once()  # log2_of bypasses the memoized base logs
     want = Decimal(exact.numerator) / Decimal(exact.denominator)
@@ -812,6 +815,78 @@ def test_log_density_renders_as_lowest_terms_oracle(pairs):
     # kernel's bound of the same logarithm.
     unit = Fraction(1, 1 << (LOG2_FRACTION_BITS + 1))
     assert abs(d.log2_fraction() - old.log2_fraction()) <= unit
+
+
+# log2_fraction's precisions: its default, log2_of's least, and log2_of's at
+# MAX_LOG2_DIGITS = 1000 digits, ceil(3.322 * 1024).
+LOG2_BITS = (LOG2_FRACTION_BITS, 256, 3402)
+
+# Maps as large as a density at the CLI caps writes, and exact powers of two
+# written over other bases: those put mant exactly on a power of two, where
+# brackets that are not exact cannot decide and a wrong one (a floor for the
+# ceiling, say) puts T one unit low.  (b*b*c)^e over b^2e c^e makes the two
+# square-and-multiply walks differ; (b*c)^e over b^e c^e would walk alike.
+large_maps = st.dictionaries(st.integers(1, MAX_L), st.integers(-70000, 70000), max_size=4)
+power_of_two_twins = st.builds(
+    lambda b, c, e, t: LogDensity([(b * b * c, e), (b, -2 * e), (c, -e), (2, t)]).factors,
+    st.integers(3, MAX_L), st.integers(3, MAX_L), st.integers(-3000, 3000),
+    st.integers(-3000, 3000))
+
+
+@settings(max_examples=60)
+@given(st.one_of(large_maps, power_of_two_twins), st.sampled_from(LOG2_BITS))
+def test_log2_fraction_equals_the_expanding_kernel(factors, frac_bits):
+    want = log2_reference.expanded_log2_fraction(factors, frac_bits)
+    assert log2_fraction(factors, frac_bits) == want
+
+
+@pytest.mark.parametrize("frac_bits", LOG2_BITS)
+@pytest.mark.parametrize("factors, expands_at", [
+    ({6: 1000, 2: -1000, 3: -1000}, {192, 256}),  # num = den; 6^1000 fits 3530 bits
+    ({15: 2000, 3: -2000, 5: -2000}, set(LOG2_BITS)),
+    ({6: 1000, 3: -1000}, {192, 256}),  # 2^1000
+    ({2: 70000}, set()),  # a power of two is its own floor and ceiling
+    ({4: 500, 2: -999}, set()),
+])
+def test_log2_fraction_expands_only_what_its_brackets_leave_open(factors, expands_at, frac_bits):
+    assert _expands_to_the_oracle(factors, frac_bits) == (frac_bits in expands_at)
+
+
+def _expands_to_the_oracle(factors, frac_bits) -> bool:
+    """Whether log2_fraction expanded the product; its value equals the oracle's either way."""
+    with mock.patch.object(exactnum, "expand_power_product",
+                           wraps=exactnum.expand_power_product) as expand:
+        got = log2_fraction(factors, frac_bits)
+    assert got == log2_reference.expanded_log2_fraction(factors, frac_bits)
+    return expand.called
+
+
+def _reduction_sensitive(frac_bits, expands):
+    """{h*k: 1, h*d: -1} whose T differs from that of k/d alone.
+
+    k/d lies just above 2^(j/2^r) times a power of two, so its log lies just
+    above a multiple of 2^-frac_bits, and h moves e by one from that of
+    k/d, which moves mant's last bit.  With ``expands``, k/d also lies
+    2^-100 of a mantissa unit below an integer, closer than brackets at
+    frac_bits + 128 bits can tell.
+    """
+    w = frac_bits + 64
+    for r in (1, 2, 3):
+        for j in range(1, 1 << r, 2):
+            root = 1 << (j + (w << r))
+            for _ in range(r):
+                root = math.isqrt(root)  # floor(2^(w + j/2^r))
+            k, d = ((root + 2) << 100, (2 << (w + 100)) + 1) if expands else (root + 1, 1 << w)
+            for h in (3, 5, 7, 11, 13):
+                if _log2_fixed(h * k, h * d, frac_bits) != _log2_fixed(k, d, frac_bits):
+                    return {h * k: 1, h * d: -1}
+    raise AssertionError(f"no reduction-sensitive case at {frac_bits} bits")
+
+
+@pytest.mark.parametrize("frac_bits", LOG2_BITS)
+@pytest.mark.parametrize("expands", [False, True])
+def test_log2_fraction_takes_e_from_the_unreduced_expansion(frac_bits, expands):
+    assert _expands_to_the_oracle(_reduction_sensitive(frac_bits, expands), frac_bits) == expands
 
 
 @given(density_pairs, density_pairs)
