@@ -7,7 +7,8 @@ l*(x-1)^(m-1) .. l*(x-1) (Craig 1978; Conway & Sloane, SPLAG ch. 8 sec. 6).
 Its squared volume is l^(2(m-1)) * (n+1), and every nonzero vector has
 squared norm at least 2m.  craig_basis writes the short echelon rows
 (x-1)^m * x^j and, in the top degrees, l*(x-1) * x^j: they lie in A and
-have its volume, so they span it.
+have its volume, so they span it.  The order m the paper takes, nearest
+n / (2 ln x), comes from nearest_m in integers.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from itertools import accumulate
 from .errors import CapacityError, ParameterError
 from .exactnum import (
     IntMatrix,
+    _base_log,
+    _log2_fixed,
     compare_power_products,
     gram_det,
     is_prime,
@@ -39,6 +42,7 @@ __all__ = [
     "center_density_lb",
     "check_dimension",
     "choose_params",
+    "nearest_m",
     "verify_section",
     "write_basis",
     "read_basis",
@@ -194,14 +198,30 @@ def center_density_lb(p: CraigParams, k: int) -> LogDensity:
     return LogDensity(((2, 2 * k - n), (m, n), (l, -2 * (m - 1)), (n + 1, -1)))
 
 
+# 2^64 * log2(e) rounded down, from the partial sum (sum_k 30!/k!) / 30! of e,
+# whose tail is under 1/31!: like _base_log(x), under 2 units below the truth.
+_LOG2_E = _log2_fixed(sum(math.perm(30, 30 - k) for k in range(31)), math.perm(30), 64)
+
+
+def nearest_m(n: int, x: int) -> int:
+    """floor(n / (2 ln x) + 1/2), the integer nearest n / (2 ln x) (half up).
+
+    n / (2 ln x) + 1/2 = (n * log2(e) + log2(x)) / (2 * log2(x)), read here
+    with the 64-bit fixed-point logs _LOG2_E and _base_log(x), no float.
+    tests/test_craig.py proves the floor exact for x = n and x = n + 1 at
+    every 2 <= n <= MAX_N.
+    """
+    lx = _base_log(x)
+    return (n * _LOG2_E + lx) // (2 * lx)
+
+
 def choose_params(n: int) -> CraigParams:
     """m nearest to n / (2 ln n) (half up), l the first prime >= n+1."""
     if n < 2:
         raise ParameterError("n must be >= 2")
     check_dimension(n)
-    m = math.floor(n / (2.0 * math.log(n)) + 0.5)
     hi = max(1, -(-n // 2) - 1)  # ceil(n/2) - 1
-    m = min(max(1, m), hi)
+    m = min(max(1, nearest_m(n, n)), hi)
     return CraigParams(n, m, next_prime(n + 1))
 
 

@@ -1,6 +1,6 @@
 """Exact arithmetic kernel.
 
-Arbitrary-precision binomial sums and their exact bit lengths from bounds,
+Binomial prefix sums by one exact walk, their exact bit lengths from bounds,
 deterministic primality, integer-matrix Hermite normal form (no src caller:
 the tests and the benchmark tracer use it), back-substitution and pivot
 volumes for echelon bases, the integral Gram-Schmidt step behind other
@@ -165,31 +165,6 @@ def write_int_rows(fh, header, rows) -> None:
             fh.write("0 " * lo + " ".join(map(str, row[lo:hi])) + " 0" * (len(row) - hi) + "\n")
 
 
-# Ranges of at most this many binomial terms are multiplied out term by term.
-_BINOM_LEAF = 16
-
-
-def _binom_split(n: int, a: int, b: int) -> tuple[int, int, int]:
-    """(P, Q, T) of the terms i = a..b-1 of row n, by binary splitting.
-
-    P = prod(n - i) and Q = prod(i + 1), so C(n, b) = C(n, a) * P / Q, and
-    T / Q = sum of C(n, i) / C(n, a) over the range.  Two adjacent ranges
-    merge as (P1*P2, Q1*Q2, T1*Q2 + P1*T2) (Haible & Papanikolaou 1998).
-    """
-    if b - a <= _BINOM_LEAF:
-        p = q = 1
-        t = 0
-        for i in range(a, b):
-            t = (t + p) * (i + 1)
-            p *= n - i
-            q *= i + 1
-        return p, q, t
-    mid = (a + b) // 2
-    p1, q1, t1 = _binom_split(n, a, mid)
-    p2, q2, t2 = _binom_split(n, mid, b)
-    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
-
-
 def _checked_rs(n: int, rs) -> list[int]:
     """``rs`` as a list, each r in 0..n; raises ParameterError otherwise."""
     rs = list(rs)
@@ -204,10 +179,8 @@ def _checked_rs(n: int, rs) -> list[int]:
 def binom_sums(n: int, rs) -> list[int]:
     """Sums of binomial coefficients C(n,0..r) for each r in ``rs``, exact.
 
-    Row n is split at the sorted distinct r; each gap between two of them is
-    one binary-splitting product (P, Q, T), which adds C(n, a) * T / Q to the
-    running sum and moves the coefficient to C(n, b) = C(n, a) * P / Q.  Both
-    divisions are exact.
+    One walk up row n to max(rs), one coefficient at a time
+    (c = c * (n - i) // (i + 1), an exact division), serves every r.
     """
     rs = _checked_rs(n, rs)
     sums = {}
@@ -215,9 +188,9 @@ def binom_sums(n: int, rs) -> list[int]:
     c = 1
     done = 0  # total holds C(n,0..done-1) and c is C(n,done)
     for r in sorted(set(rs)):
-        p, q, t = _binom_split(n, done, r + 1)
-        total += c * t // q
-        c = c * p // q
+        for i in range(done, r + 1):
+            total += c
+            c = c * (n - i) // (i + 1)
         done = r + 1
         sums[r] = total
     return [sums[r] for r in rs]

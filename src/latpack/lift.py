@@ -15,7 +15,6 @@ different code sources.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -32,8 +31,8 @@ from .craig import (
     LogDensity,
     center_density_lb,
     check_dimension,
-    choose_params,
     craig_basis,
+    nearest_m,
 )
 from . import codes
 from .codes import (
@@ -159,7 +158,7 @@ def improve_craig_8x(p: int) -> LiftResult:
     n = p - 1
     if n < 1222:
         raise ParameterError("regime requires p - 1 >= 1222 (inner distance may fall short)")
-    m = math.floor(n / (2.0 * math.log(n + 1)) + 0.5)  # nearest, half up
+    m = nearest_m(n, p)
     params = CraigParams(n, m, p)
     n7 = n // 7
     cc = concatenate(repetition(n7, 8), dual_hamming_7_3_4())
@@ -239,7 +238,7 @@ def pipeline_24n(N: int) -> LiftResult:
 def _candidate_ms(n: int) -> list[int]:
     """Sweep window: around n/(2 ln n), around n/32, plus m = 1."""
     hi = max(1, -(-n // 2) - 1)
-    centers = {choose_params(n).m, max(1, div_round_half_even(n, 32))}
+    centers = {nearest_m(n, n), max(1, div_round_half_even(n, 32))}
     cands = {1}
     for c in centers:
         for m in range(max(1, c - SWEEP_WINDOW), min(hi, c + SWEEP_WINDOW) + 1):

@@ -1,9 +1,11 @@
 """Reference binomial prefix sums for the differential tests of `latpack.exactnum`.
 
-This is the `binom_sums` that `latpack.exactnum` used before it summed each
-gap between requested r by binary splitting, copied unchanged: it walks
-row n one coefficient at a time, c = c * (n - i) // (i + 1), up to max(rs).
-It is a test oracle only.
+It walks row n one coefficient at a time, c = c * (n - i) // (i + 1), up to
+max(rs).  `latpack.exactnum.binom_sums` now walks the same way (for a while
+it summed the gaps between requested r by binary splitting).  This copy
+stays as the oracle of `binom_sum_bit_lengths`; `test_binom_sums_match_comb`
+checks `binom_sums` against `math.comb` independently.  It is a test oracle
+only.
 """
 
 from __future__ import annotations

@@ -10,14 +10,25 @@ import pytest
 from latpack import exactnum
 from latpack.codes import repetition
 from latpack.errors import CapacityError, ParameterError, ParseError
-from latpack.exactnum import IntMatrix, gram_det, hnf_basis, next_prime, solve_left
+from latpack.exactnum import (
+    IntMatrix,
+    _base_log,
+    _log2_fixed,
+    gram_det,
+    hnf_basis,
+    next_prime,
+    solve_left,
+)
 from latpack.craig import (
+    MAX_N,
+    _LOG2_E,
     CraigParams,
     IntegerLattice,
     center_density_lb,
     choose_params,
     craig_basis,
     membership,
+    nearest_m,
     read_basis,
     verify_section,
     write_basis,
@@ -184,6 +195,39 @@ def test_choose_params():
     p = choose_params(1222)
     assert (p.m, p.l) == (86, 1223)
     assert choose_params(4098).l == 4099
+
+
+def test_log2_e_matches_a_longer_partial_sum():
+    # 30 terms of sum 1/k! fall short of e by under 1/31!; 60 terms give
+    # the same 64-bit log, so E is less than 2 units below 2^64 * log2(e).
+    partial = sum(math.perm(60, 60 - k) for k in range(61))
+    assert _LOG2_E == _log2_fixed(partial, math.perm(60), 64)
+
+
+def test_nearest_m_is_exact_on_every_admissible_input():
+    # With E = _LOG2_E and lx = _base_log(x), each less than 2 units below
+    # 2^64 times log2 of e and of x, n / (2 ln x) + 1/2, which is
+    # (n * log2(e) + log2(x)) / (2 * log2(x)), lies above
+    # (n*E + lx + 2) / (2(lx + 2)) and below (n(E + 2) + lx) / (2 lx).  When
+    # both bounds have the floor m, so has the true value.  Every x = n
+    # (choose_params) and x = n + 1 (improve_craig_8x) with 2 <= n <= MAX_N.
+    E = _LOG2_E
+    pairs = 0
+    for x in range(2, MAX_N + 2):
+        lx = _base_log(x)
+        for n in (x - 1, x):
+            if 2 <= n <= MAX_N:
+                m = nearest_m(n, x)
+                assert (n * E + lx + 2) // (2 * (lx + 2)) == m, (n, x)
+                assert n * (E + 2) + lx <= 2 * lx * (m + 1), (n, x)
+                pairs += 1
+    assert pairs == 2 * (MAX_N - 1)
+
+
+def test_nearest_m_gives_table_1s_orders():
+    # Table 1's eightfold Craig lattices, dims 1398, 1432, 2178 and 2296,
+    # take m nearest (p - 1) / (2 ln p) at p = dim + 1.
+    assert [nearest_m(p - 1, p) for p in (1399, 1433, 2179, 2297)] == [97, 99, 142, 148]
 
 
 def test_verify_section():

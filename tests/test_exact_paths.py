@@ -3,10 +3,9 @@
 The shortest-vector certificates and the exact kernels they and the
 density arithmetic rest on must compute with ints and Fractions only.  The
 walk flags a float literal, a true division `/`, the name `float`, and any
-`math` function other than the integer ones.  Two functions off the
-certified path still pick m with a float and are the only exceptions:
-`craig.choose_params` (the CLI's default m) and `lift.improve_craig_8x`
-(claim 3's m), until one exact nearest-m rule replaces both.
+`math` function other than the integer ones.  No function is exempt: the
+Craig order m, the CLI's default and claim 3's alike, comes from the integer
+rule `craig.nearest_m`.
 """
 
 import ast
@@ -14,7 +13,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "latpack"
 
-KNOWN_FLOAT_USERS = {"craig.choose_params", "lift.improve_craig_8x"}
+KNOWN_FLOAT_USERS = set()
 INTEGER_MATH = {"isqrt", "lcm", "prod", "comb", "perm", "gcd"}
 
 
@@ -48,28 +47,23 @@ def float_users(node, owner: str, found=None) -> dict:
     return found
 
 
-def functions(path: Path) -> dict:
-    tree = ast.parse(path.read_text())
-    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-
-
 def test_svp_uses_no_float():
     assert float_uses(ast.parse((SRC / "svp.py").read_text())) == []
 
 
-def test_src_uses_float_only_in_two_known_functions():
+def test_src_uses_no_float():
     modules = sorted(SRC.glob("*.py"))
     assert {"svp", "exactnum", "craig", "lift", "codes"} <= {path.stem for path in modules}
     found = {}
     for path in modules:
         found.update(float_users(ast.parse(path.read_text()), path.stem))
-    assert set(found) == KNOWN_FLOAT_USERS
+    assert set(found) == KNOWN_FLOAT_USERS, found
 
 
 def test_the_lint_sees_each_kind_of_float_use():
-    # choose_params picks its default m with a float, off the certified
-    # path; it is out of scope, and the walk flags it.
-    assert sorted(float_uses(functions(SRC / "craig.py")["choose_params"])) == [
+    # The float rule for m that craig.nearest_m replaced.
+    old_rule = "m = math.floor(n / (2.0 * math.log(n)) + 0.5)\n"
+    assert sorted(float_uses(ast.parse(old_rule))) == [
         "float literal 0.5", "float literal 2.0", "math.floor", "math.log", "true division"]
     snippet = "x = 1.5\ny = a / b\nz = float(a)\nw = math.log(a) + math.isqrt(a)\nv /= 2\n"
     assert sorted(float_uses(ast.parse(snippet))) == [

@@ -7,9 +7,9 @@ checks one of them against an independent oracle (Gram determinants,
 brute-force spans, the polynomial membership criterion, `decimal`
 formatting, a `binom_sum` scan).  The table-driven GF(q) elimination is
 also checked against one that calls `gf_mul` for every entry.  The
-binary-splitting binomial prefix sums are checked against `math.comb` and
-against the one-coefficient walk they replaced (`tests/binom_reference.py`),
-their bit lengths from bounds on the row against the exact sums (also with
+binomial prefix sums are checked against `math.comb` and against the
+one-coefficient walk of `tests/binom_reference.py`, their bit lengths from
+bounds on the row against the exact sums (also with
 the bounds' precision patched down, so that the exact fallback decides),
 the GV dimensions against the GV condition itself, the memoized base logs
 against the fixed-point kernel, and the exact power-product order, with
@@ -65,7 +65,6 @@ from latpack.errors import ParameterError, RankError
 from latpack.exactnum import (
     LOG2_FRACTION_BITS,
     IntMatrix,
-    _BINOM_LEAF,
     _CHUNK,
     _base_log,
     _log2_fixed,
@@ -604,16 +603,13 @@ def test_gv_max_ks_matches_gv_max_k(data):
 def binom_rows(draw):
     """A row n <= 3000 and a list of r in 0..n for binom_sums.
 
-    The r are a running sum of gaps of lengths around one and two leaves
-    of the binary splitting and around one chunk of binom_sum_bit_lengths'
-    walk, with 0, n and repeats mixed in and the list shuffled, so segments
-    start, end and split at and beside leaf and chunk edges.
+    The r are a running sum of gaps of lengths around one chunk of
+    binom_sum_bit_lengths' walk, with 0, n and repeats mixed in and the list
+    shuffled, so segments start, end and split at and beside chunk edges.
     """
     n = draw(st.integers(0, 3000))
-    leaf, chunk = _BINOM_LEAF, _CHUNK
     gap = st.one_of(
-        st.sampled_from([0, 1, leaf - 1, leaf, leaf + 1, 2 * leaf - 1, 2 * leaf, 2 * leaf + 1,
-                         chunk - 1, chunk, chunk + 1]),
+        st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1]),
         st.integers(0, n),
     )
     r = draw(st.integers(0, n))
