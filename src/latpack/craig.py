@@ -164,7 +164,8 @@ def craig_basis(p: CraigParams) -> IntegerLattice:
     top = [math.comb(m, i) * (-1) ** (m - i) for i in range(m + 1)]
     rows = [[0] * j + top + [0] * (n - m - j) for j in range(n - m + 1)]
     rows += [[0] * j + [-l, l] + [0] * (n - 1 - j) for j in range(n - m + 1, n)]
-    return IntegerLattice(IntMatrix._trusted(rows))
+    spans = [(j, j + m + 1) for j in range(n - m + 1)] + [(j, j + 2) for j in range(n - m + 1, n)]
+    return IntegerLattice(IntMatrix._trusted(rows, spans))
 
 
 def membership(p: CraigParams, f) -> bool:
@@ -220,9 +221,8 @@ def choose_params(n: int) -> CraigParams:
     if n < 2:
         raise ParameterError("n must be >= 2")
     check_dimension(n)
-    hi = max(1, -(-n // 2) - 1)  # ceil(n/2) - 1
-    m = min(max(1, nearest_m(n, n)), hi)
-    return CraigParams(n, m, next_prime(n + 1))
+    # tests/test_craig.py proves 1 <= m <= max(1, ceil(n/2) - 1), so 2m <= n + 1.
+    return CraigParams(n, nearest_m(n, n), next_prime(n + 1))
 
 
 def verify_section(p: CraigParams) -> bool:
@@ -251,9 +251,12 @@ def verify_section(p: CraigParams) -> bool:
 
 def write_basis(lattice: IntegerLattice, fh) -> None:
     """Text format: first line "N r", then r rows of N integers."""
-    write_int_rows(fh, [lattice.ambient_dim, lattice.rank], lattice.basis.m)
+    write_int_rows(fh, [lattice.ambient_dim, lattice.rank], lattice.basis.m, lattice.basis.spans())
 
 
 def read_basis(fh) -> IntegerLattice:
+    """The rows write_basis writes.  read_int_rows has put every token through
+    int() and held every row to the header's width, so a nonempty result is
+    not checked again; an empty one meets IntMatrix's error."""
     _, rows = read_int_rows(fh, "basis", "N r")
-    return IntegerLattice(IntMatrix(rows))
+    return IntegerLattice(IntMatrix._trusted(rows) if rows and rows[0] else IntMatrix(rows))

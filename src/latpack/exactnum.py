@@ -56,14 +56,20 @@ class IntMatrix:
     ``IntMatrix(rows)`` copies the rows and checks them, row by row: at
     least one row and one column, each row as wide as the first ("ragged
     rows"), then every entry an int ("entries must be integers").  Outside
-    input (a basis file, rows handed to svp) goes through it.
-    ``IntMatrix._trusted(rows)`` takes a nonempty list of equal-width int
-    lists as it is, with no copy and no check; only rows latpack built
-    itself go through it (craig_basis, lift._preimage_lattice and the end of
-    svp.lll_reduce).
+    input (rows handed to svp, say) goes through it.
+    ``IntMatrix._trusted(rows, spans)`` takes a nonempty list of equal-width
+    int lists as it is, with no copy and no check; only rows latpack built
+    or parsed itself go through it (craig_basis, lift._preimage_lattice, the
+    end of svp.lll_reduce and craig.read_basis).
+
+    ``spans()`` gives each row's exact nonzero span (lo, hi), lo its first
+    nonzero column and hi one past its last, or None for a zero row.  A
+    builder that knows them passes them; otherwise they are scanned the
+    first time they are asked for and kept.  Rows are never modified after
+    construction, so the spans cannot go stale.
     """
 
-    __slots__ = ("rows", "cols", "m")
+    __slots__ = ("rows", "cols", "m", "_spans")
 
     def __init__(self, rows_data):
         data = [list(r) for r in rows_data]
@@ -79,12 +85,18 @@ class IntMatrix:
         self.rows = len(data)
         self.cols = width
         self.m = data
+        self._spans = None
 
     @classmethod
-    def _trusted(cls, data: list[list[int]]) -> "IntMatrix":
+    def _trusted(cls, data: list[list[int]], spans=None) -> "IntMatrix":
         self = object.__new__(cls)
-        self.rows, self.cols, self.m = len(data), len(data[0]), data
+        self.rows, self.cols, self.m, self._spans = len(data), len(data[0]), data, spans
         return self
+
+    def spans(self) -> list[tuple[int, int] | None]:
+        if self._spans is None:
+            self._spans = list(map(_span, self.m))
+        return self._spans
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -148,20 +160,20 @@ def read_int_rows(fh, what: str, header: str) -> tuple[list[int], list[list[int]
     return head, rows
 
 
-def write_int_rows(fh, header, rows) -> None:
+def write_int_rows(fh, header, rows, spans=None) -> None:
     """The format read_int_rows reads: the header line, then one line per row.
 
     Each line is the row's ints joined by single spaces.  The zero runs
-    before and after a row's nonzero span are written by string repetition,
-    so only the span goes through str.
+    before and after a row's nonzero span (from ``spans``, as
+    IntMatrix.spans gives them, or scanned here) are written by string
+    repetition, so only the span goes through str.
     """
     fh.write(" ".join(map(str, header)) + "\n")
-    for row in rows:
-        lo = _first_nonzero(row)
-        if lo is None:
+    for row, span in zip(rows, spans or map(_span, rows)):
+        if span is None:
             fh.write(" ".join(["0"] * len(row)) + "\n")
         else:
-            hi = len(row) - _first_nonzero(row[::-1])
+            lo, hi = span
             fh.write("0 " * lo + " ".join(map(str, row[lo:hi])) + " 0" * (len(row) - hi) + "\n")
 
 
@@ -394,14 +406,19 @@ def hnf_basis(M: IntMatrix) -> IntMatrix:
 def _first_nonzero(row: list[int]) -> int | None:
     """Column of the first nonzero entry of an int list, or None when there is none.
 
-    filter and list.index scan the zeros in C; ``len(row) - _first_nonzero(row[::-1])``
-    is the end of the nonzero span.
+    filter and list.index scan the zeros in C.
     """
     lead = next(filter(None, row), 0)
     return row.index(lead) if lead else None
 
 
-def echelon_pivots(rows) -> list[int] | None:
+def _span(row: list[int]) -> tuple[int, int] | None:
+    """(first nonzero column, one past the last) of an int list, or None when it is zero."""
+    lo = _first_nonzero(row)
+    return None if lo is None else (lo, len(row) - _first_nonzero(row[::-1]))
+
+
+def echelon_pivots(M: IntMatrix) -> list[int] | None:
     """Pivot columns of an echelon basis, or None.
 
     A basis is echelon when no row is zero and the rows' first nonzero
@@ -411,11 +428,10 @@ def echelon_pivots(rows) -> list[int] | None:
     independent.
     """
     pivots = []
-    for row in rows:
-        pc = _first_nonzero(row)
-        if pc is None or (pivots and pc <= pivots[-1]):
+    for span in M.spans():
+        if span is None or (pivots and span[0] <= pivots[-1]):
             return None
-        pivots.append(pc)
+        pivots.append(span[0])
     return pivots
 
 
@@ -428,15 +444,10 @@ def left_solver(B: IntMatrix):
     column.  Nothing is modified by a call.  Raises ParameterError when B is
     not echelon.
     """
-    pivots = echelon_pivots(B.m)
-    if pivots is None:
+    if echelon_pivots(B) is None:
         raise ParameterError("solving needs an echelon basis (rows starting at increasing columns)")
-    # Each row's pivot column and entry and its nonzero span pc..hi-1: the
-    # pivot scan covers the leading zeros, this one the trailing zeros.
-    steps = []
-    for row, pc in zip(B.m, pivots):
-        hi = len(row) - _first_nonzero(row[::-1])
-        steps.append((pc, row[pc], hi, row[pc:hi]))
+    # Each row's pivot column and entry and its nonzero span pc..hi-1.
+    steps = [(pc, row[pc], hi, row[pc:hi]) for row, (pc, hi) in zip(B.m, B.spans())]
 
     def solve(v) -> list[int] | None:
         if len(v) != B.cols:
@@ -495,12 +506,13 @@ def gram_det(B: IntMatrix) -> int:
     minors.  Their signed vector is orthogonal to every row, so parallel to
     (1, ..., 1), and all N minors share one absolute value; the minor
     without the non-pivot column is triangular with the pivot entries on its
-    diagonal.  Any other basis runs gso_extend over its rows.
+    diagonal.  Any other basis runs gso_extend over its rows.  The sums and
+    the pivot entries are read from each row's nonzero span alone.
     """
-    if B.rows == B.cols - 1 and not any(sum(row) for row in B.m):
-        pivots = echelon_pivots(B.m)
-        if pivots is not None:
-            det = math.prod(row[pc] for row, pc in zip(B.m, pivots))
+    if B.rows == B.cols - 1 and echelon_pivots(B) is not None:
+        bands = [row[lo:hi] for row, (lo, hi) in zip(B.m, B.spans())]
+        if not any(map(sum, bands)):
+            det = math.prod(band[0] for band in bands)
             return B.cols * det * det
     d, lam = [1], []
     return d[-1] if all(gso_extend(B.m, d, lam) for _ in range(B.rows)) else 0

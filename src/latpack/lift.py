@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .errors import ParameterError
 from .exactnum import (
     IntMatrix,
+    _first_nonzero,
     div_round_half_even,
     is_prime,
     next_prime,
@@ -106,18 +107,20 @@ def _preimage_lattice(p: CraigParams, code_rows) -> IntegerLattice:
     weight.  Row i of the basis is that lift, or 2*B[i] off the code's pivots:
     echelon, with pivots multiplying to 2^(n-k) * (+-l^(m-1)), k the rank.
     """
-    n, m = p.n, p.m
-    B = craig_basis(p).basis.m
-    # B[j] is zero outside columns j..j+m, so only that band is doubled.
-    rows = [row[:j] + [2 * a for a in row[j:j + m + 1]] + row[j + m + 1:]
-            for j, row in enumerate(B)]
+    n = p.n
+    base = craig_basis(p).basis
+    B, spans = base.m, list(base.spans())  # spans[i] becomes row i's
+    # Only each row's nonzero span is doubled, or added in the walk.
+    rows = [row[:lo] + [2 * a for a in row[lo:hi]] + row[hi:] for row, (lo, hi) in zip(B, spans)]
     V = [list(v) for v in code_rows]  # reduced here, not in the caller's rows
     for i, v in zip(codes._gf_eliminate(2, V, n + 1), V):
         row = rows[i] = [0] * (n + 1)
         for j in range(i, n):
             if (row[j] ^ v[j]) & 1:
-                row[j:j + m + 1] = [a + b for a, b in zip(row[j:j + m + 1], B[j][j:j + m + 1])]
-    return IntegerLattice(IntMatrix._trusted(rows))
+                lo, hi = spans[j]
+                row[lo:hi] = [a + b for a, b in zip(row[lo:hi], B[j][lo:hi])]
+        spans[i] = (i, n + 1 - _first_nonzero(row[::-1]))
+    return IntegerLattice(IntMatrix._trusted(rows, spans))
 
 
 def lift_sublattice(p: CraigParams, V: LinearCode) -> LiftResult:

@@ -1,11 +1,19 @@
-"""Reference row scans and row writer for the differential tests of `latpack.exactnum`.
+"""Reference row scans, row writer and solvers for the differential tests of `latpack.exactnum`.
 
-These are the definitions `latpack.exactnum` used before its row scans went
-through `filter` and `list.index` and its writer through zero runs, copied
-unchanged: every entry is visited in Python bytecode.  Test oracles only.
+The scans and the writer are the definitions `latpack.exactnum` used before
+its row scans went through `filter` and `list.index` and its writer through
+zero runs, copied unchanged: every entry is visited in Python bytecode.
+`left_solver` and `gram_det` are the ones it used before rows kept their
+spans, on these scans: every call scans every row of the basis again.  Test
+oracles only.
 """
 
 from __future__ import annotations
+
+import math
+
+from latpack.errors import ParameterError
+from latpack.exactnum import gso_extend
 
 
 def echelon_pivots(rows) -> list[int] | None:
@@ -28,3 +36,41 @@ def write_int_rows(fh, header, rows) -> None:
     """The header line, then one line per row, every entry through str."""
     for row in [header, *rows]:
         fh.write(" ".join(str(x) for x in row) + "\n")
+
+
+def left_solver(B):
+    """v -> x with x*B = v, or None; ParameterError unless B is echelon."""
+    pivots = echelon_pivots(B.m)
+    if pivots is None:
+        raise ParameterError("solving needs an echelon basis (rows starting at increasing columns)")
+    steps = []
+    for row, pc in zip(B.m, pivots):
+        hi = span_end(row)
+        steps.append((pc, row[pc], hi, row[pc:hi]))
+
+    def solve(v):
+        if len(v) != B.cols:
+            raise ParameterError("vector length does not match matrix columns")
+        residual = list(v)
+        q = []
+        for pc, pivot, hi, span in steps:
+            qi, r = divmod(residual[pc], pivot)
+            if r != 0:
+                return None
+            if qi:
+                residual[pc:hi] = [a - qi * b for a, b in zip(residual[pc:hi], span)]
+            q.append(qi)
+        return None if any(residual) else q
+
+    return solve
+
+
+def gram_det(B) -> int:
+    """det(B * B^T): N * (pivot product)^2 for a rank N-1 echelon basis in sum(x) = 0."""
+    if B.rows == B.cols - 1 and not any(sum(row) for row in B.m):
+        pivots = echelon_pivots(B.m)
+        if pivots is not None:
+            det = math.prod(row[pc] for row, pc in zip(B.m, pivots))
+            return B.cols * det * det
+    d, lam = [1], []
+    return d[-1] if all(gso_extend(B.m, d, lam) for _ in range(B.rows)) else 0

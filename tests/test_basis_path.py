@@ -1,12 +1,14 @@
 """The basis path without per-entry Python loops, checked against the loops it replaced.
 
-Rows latpack builds itself (the Craig basis, a lifted basis, LLL's output)
-enter `IntMatrix` through the unchecked `IntMatrix._trusted`; every other
-row still goes through the checked constructor.  Row scans run on `filter`
-and `list.index`, and `write_int_rows` writes zero runs by string
-repetition.  Each is compared here with the per-entry definition it
-replaced (`tests/rowscan_reference.py`), and an AST walk pins the callers
-of the unchecked constructor.
+Rows latpack builds or parses itself (the Craig basis, a lifted basis,
+LLL's output, a basis file) enter `IntMatrix` through the unchecked
+`IntMatrix._trusted`; every other row still goes through the checked
+constructor.  Each matrix knows its rows' nonzero spans, given by its
+builder or scanned once by `filter` and `list.index`; `echelon_pivots`,
+`left_solver`, `gram_det` and `write_int_rows` read them.  Each is compared
+here with the per-entry definition it replaced (`tests/rowscan_reference.py`),
+every builder's spans with a fresh scan, and an AST walk pins the callers of
+the unchecked constructor.
 """
 
 import ast
@@ -41,15 +43,35 @@ entries = st.one_of(
 
 
 @st.composite
-def int_rows(draw):
+def int_rows(draw, min_rows=0):
     width = draw(st.integers(1, 12))
     row = st.lists(entries, min_size=width, max_size=width)
-    return draw(st.lists(row, min_size=0, max_size=6))
+    return draw(st.lists(row, min_size=min_rows, max_size=6))
 
 
-def written(write, header, rows) -> str:
+@st.composite
+def echelon_rows(draw):
+    """Rows with strictly increasing first nonzero columns, all before the
+    last column; that column often makes every row sum to 0, so a full set
+    of them (one row per column but the last) takes gram_det's pivot path."""
+    width = draw(st.integers(2, 12))
+    pivots = sorted(draw(st.sets(st.integers(0, width - 2), min_size=1)))
+    if draw(st.booleans()):
+        pivots = range(width - 1)
+    sum_zero = draw(st.booleans())
+    rows = []
+    for pc in pivots:
+        row = [draw(entries) if pc < c else 0 for c in range(width)]
+        row[pc] = draw(entries.filter(bool))
+        if sum_zero:
+            row[-1] = -sum(row[:-1])
+        rows.append(row)
+    return rows
+
+
+def written(write, header, rows, *spans) -> str:
     buf = io.StringIO()
-    write(buf, header, rows)
+    write(buf, header, rows, *spans)
     return buf.getvalue()
 
 
@@ -64,6 +86,8 @@ def test_write_int_rows_matches_per_entry_join(rows):
     header = [width, len(rows)]
     text = written(exactnum.write_int_rows, header, rows)
     assert text == written(rowscan_reference.write_int_rows, header, rows)
+    if rows:
+        assert written(exactnum.write_int_rows, header, rows, IntMatrix(rows).spans()) == text
     head, back = exactnum.read_int_rows(io.StringIO(text), "basis", "N r")
     assert head == header and back == rows
 
@@ -73,17 +97,50 @@ def test_write_int_rows_all_zero_row_has_no_trailing_space():
     assert written(exactnum.write_int_rows, [1, 2], [[0], [-2]]) == "1 2\n0\n-2\n"
 
 
-@given(int_rows())
+@given(int_rows(min_rows=1))
 @example([[0, 0], [0, 0]])  # zero rows
 @example([[1, 0, 0], [3, 1, 0]])  # repeated lead
 @example([[0, -1, 2], [0, 0, -3]])  # negative leads
 @example([[0], [5]])  # a single column
 def test_row_scans_match_generator_definitions(rows):
-    assert echelon_pivots(rows) == rowscan_reference.echelon_pivots(rows)
-    for row in rows:
-        assert _first_nonzero(row) == next((c for c, a in enumerate(row) if a), None)
-        if any(row):
-            assert len(row) - _first_nonzero(row[::-1]) == rowscan_reference.span_end(row)
+    M = IntMatrix(rows)
+    assert echelon_pivots(M) == rowscan_reference.echelon_pivots(rows)
+    for row, span in zip(rows, M.spans()):
+        lo = next((c for c, a in enumerate(row) if a), None)
+        assert _first_nonzero(row) == lo
+        assert span == (None if lo is None else (lo, rowscan_reference.span_end(row)))
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the ParameterError it raises."""
+    try:
+        return f(*args)
+    except ParameterError as e:
+        return ParameterError, str(e)
+
+
+@given(st.one_of(int_rows(min_rows=1), echelon_rows()), st.data())
+@example([[0, 0], [0, 0]], None)
+@example([[1, 0, 0], [3, 1, 0]], None)
+@example([[0, -1, 2], [0, 0, -3]], None)
+@example([[0], [5]], None)
+def test_solver_and_volume_match_the_per_call_scans(rows, data):
+    M = IntMatrix(rows)
+    assert exactnum.gram_det(M) == rowscan_reference.gram_det(M)
+    vectors = [[0] * M.cols, [sum(c) for c in zip(*rows)]]
+    if data is not None:
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=M.rows, max_size=M.rows))
+        v = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(M.cols)]
+        vectors.append(v)
+        v = list(v)
+        v[data.draw(st.integers(0, M.cols - 1))] += data.draw(st.sampled_from([-1, 1, 2]))
+        vectors.append(v)
+    solve, ref = outcome(exactnum.left_solver, M), outcome(rowscan_reference.left_solver, M)
+    if callable(ref):
+        assert [solve(v) for v in vectors] == [ref(v) for v in vectors]
+        assert outcome(solve, [0] * (M.cols + 1)) == outcome(ref, [0] * (M.cols + 1))
+    else:
+        assert solve == ref
 
 
 def trusted_callers() -> set[str]:
@@ -102,12 +159,23 @@ def trusted_callers() -> set[str]:
 
 
 def test_trusted_constructor_serves_only_rows_latpack_builds():
-    assert trusted_callers() == {"craig.craig_basis", "lift._preimage_lattice", "svp.lll_reduce"}
+    # read_basis: read_int_rows has put every token through int() and held
+    # every row to the header's width.
+    assert trusted_callers() == {"craig.craig_basis", "lift._preimage_lattice",
+                                 "svp.lll_reduce", "craig.read_basis"}
     p = craig.CraigParams(12, 3, 13)
-    built = [craig.craig_basis(p).basis, _preimage_lattice(p, [[1] * 12 + [0]]).basis,
-             lll_reduce(craig.craig_basis(p)).basis]
+    buf = io.StringIO()
+    craig.write_basis(craig.craig_basis(p), buf)
+    buf.seek(0)
+    codes = ([[1] * 12 + [0]], [[1, 1] + [0] * 11, [0, 0, 1, 1] + [0] * 9])
+    built = [craig.craig_basis(q).basis for q in (
+        p, craig.CraigParams(12, 1, 13), craig.CraigParams(11, 6, 13))]  # m = 1, 2m = n + 1
+    built += [_preimage_lattice(p, rows).basis for rows in codes]
+    built += [lll_reduce(craig.craig_basis(p)).basis, read_basis(buf).basis]
     for M in built:  # each would pass the checks it skips
-        assert M == IntMatrix(M.m) and (M.rows, M.cols) == (12, 13)
+        fresh = IntMatrix(M.m)
+        assert M == fresh and (M.rows, M.cols) == (fresh.rows, fresh.cols)
+        assert M.spans() == fresh.spans()
 
 
 @pytest.mark.parametrize("bad", [1.0, Fraction(1, 2), Fraction(2), "1"])
@@ -136,3 +204,17 @@ def test_int_tokens_reads_what_int_accepts():
     assert lattice.basis.m == [[1, -1, 0], [0, 10, -10]]
     code = read_generator(io.StringIO("2 3 1\n+1 0 0_1\n"))
     assert code.generator == [[1, 0, 1]]
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("3 0\n", ParameterError, "matrix must have at least one row and one column"),
+    ("0 2\n\n\n", ParameterError, "matrix must have at least one row and one column"),
+    ("3 2\n1 -1 0\n0 1\n", ParseError, "basis row 2 must have 3 entries"),
+    ("3 2\n1 -1 0\n0 1 y\n", ParseError, "basis file line 3: 'y' is not an integer"),
+    ("3 1\n1 -1 0\n0 1 -1\n", ParseError, "basis file line 3: more rows than the header's 1"),
+    ("2 3\n1 -1\n0 1\n1 0\n", ParameterError, "rank exceeds ambient dimension"),
+], ids=["r=0", "N=0", "ragged", "token", "extra row", "rank"])
+def test_read_basis_refuses_as_it_did(text, error, message):
+    with pytest.raises(error) as info:
+        read_basis(io.StringIO(text))
+    assert type(info.value) is error and str(info.value) == message

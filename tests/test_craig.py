@@ -211,6 +211,8 @@ def test_nearest_m_is_exact_on_every_admissible_input():
     # (n*E + lx + 2) / (2(lx + 2)) and below (n(E + 2) + lx) / (2 lx).  When
     # both bounds have the floor m, so has the true value.  Every x = n
     # (choose_params) and x = n + 1 (improve_craig_8x) with 2 <= n <= MAX_N.
+    # At x = n, m also lies in 1..max(1, ceil(n/2) - 1), so choose_params
+    # needs no clamp to meet CraigParams' 1 <= m and 2m <= n + 1.
     E = _LOG2_E
     pairs = 0
     for x in range(2, MAX_N + 2):
@@ -220,6 +222,8 @@ def test_nearest_m_is_exact_on_every_admissible_input():
                 m = nearest_m(n, x)
                 assert (n * E + lx + 2) // (2 * (lx + 2)) == m, (n, x)
                 assert n * (E + 2) + lx <= 2 * lx * (m + 1), (n, x)
+                if n == x:
+                    assert 1 <= m <= max(1, -(-n // 2) - 1), n
                 pairs += 1
     assert pairs == 2 * (MAX_N - 1)
 
@@ -288,7 +292,7 @@ def test_earlier_short_rows_solve_through_the_fallbacks():
     write_basis(IntegerLattice(IntMatrix(rows)), buf)
     buf.seek(0)
     earlier = read_basis(buf)
-    assert exactnum.echelon_pivots(earlier.basis.m) is None
+    assert exactnum.echelon_pivots(earlier.basis) is None
     v = [sum(current.basis.m[i][j] for i in range(p.n)) for j in range(p.n + 1)]
     assert solve_left(current.basis, v) == [1] * p.n
     with mock.patch.object(exactnum, "hnf", side_effect=AssertionError("reached hnf")), \

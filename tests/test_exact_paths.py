@@ -6,6 +6,11 @@ walk flags a float literal, a true division `/`, the name `float`, and any
 `math` function other than the integer ones.  No function is exempt: the
 Craig order m, the CLI's default and claim 3's alike, comes from the integer
 rule `craig.nearest_m`.
+
+Beside it, a walk over src refuses any in-place write to an `IntMatrix`'s
+rows (`x.m[...] = `, `x.m[i][j] = `, `x.m.append(...)` and the like): a
+matrix keeps the nonzero spans of its rows, which such a write would leave
+stale.
 """
 
 import ast
@@ -58,6 +63,50 @@ def test_src_uses_no_float():
     for path in modules:
         found.update(float_users(ast.parse(path.read_text()), path.stem))
     assert set(found) == KNOWN_FLOAT_USERS, found
+
+
+ROW_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+
+
+def reaches_rows(node) -> bool:
+    """node is some x.m, or a subscript of one: x.m[i], x.m[i][j], x.m[a:b]."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "m"
+
+
+def row_writes(tree) -> list[str]:
+    """Source of every statement or call that changes the rows of some x.m in place."""
+    found = []
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            parts = target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target]
+            if any(isinstance(t, ast.Subscript) and reaches_rows(t.value) for t in parts):
+                found.append(ast.unparse(node))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ROW_MUTATORS and reaches_rows(node.func.value)):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_src_never_writes_matrix_rows_in_place():
+    found = {path.stem: w for path in sorted(SRC.glob("*.py"))
+             if (w := row_writes(ast.parse(path.read_text())))}
+    assert found == {}
+
+
+def test_the_row_write_walk_sees_each_kind_of_write():
+    snippet = ("B.m[0] = r\nB.m[i][j] = 0\nB.m[1:3] = []\nB.m[0], x = r, 1\nB.m[0] += r\n"
+               "del B.m[0]\nB.m.append(r)\nB.m[0].extend(r)\nB.m.insert(0, r)\n"
+               "rows = B.m[:]\nrows[0] = r\nself.m = data\nx = B.m[0][1] + p.m\n")
+    assert row_writes(ast.parse(snippet)) == [
+        "B.m[0] = r", "B.m[i][j] = 0", "B.m[1:3] = []", "B.m[0], x = (r, 1)", "B.m[0] += r",
+        "del B.m[0]", "B.m.append(r)", "B.m[0].extend(r)", "B.m.insert(0, r)"]
 
 
 def test_the_lint_sees_each_kind_of_float_use():

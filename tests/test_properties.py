@@ -250,7 +250,7 @@ def mixed(draw, bases):
 def test_non_echelon_bases_solve_through_hnf(M, data):
     # No basis solves through the HNF any more: one that is not echelon is
     # refused before any solve.
-    assume(exactnum.echelon_pivots(M.m) is None)
+    assume(exactnum.echelon_pivots(M) is None)
     v = lattice_vectors(data, M)
     with mock.patch.object(exactnum, "hnf", side_effect=AssertionError("reached hnf")):
         with pytest.raises(ParameterError, match="echelon"):
@@ -282,7 +282,7 @@ def test_pivot_volume_matches_gram_reference(B):
 
 def pivot_volume_applies(M) -> bool:
     return (M.rows == M.cols - 1 and not any(sum(r) for r in M.m)
-            and exactnum.echelon_pivots(M.m) is not None)
+            and exactnum.echelon_pivots(M) is not None)
 
 
 @given(st.one_of(int_matrices(), echelon_bases(), mixed(sum_zero_echelon_bases()),
@@ -502,7 +502,8 @@ def test_parity_walk_lift_matches_gf2_solve_reference(case):
     got = _preimage_lattice(p, rows)
     want = lift_reference.preimage_lattice(p, rows)
     assert hnf_basis(got.basis) == want.basis
-    assert echelon_pivots(got.basis.m) == list(range(p.n))
+    assert echelon_pivots(got.basis) == list(range(p.n))
+    assert got.basis.spans() == IntMatrix(got.basis.m).spans()
     assert got.vol_sq == want.vol_sq
 
 
