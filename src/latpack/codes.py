@@ -257,13 +257,9 @@ def extend_parity(c: LinearCode) -> LinearCode:
     return LinearCode(CodeSpec(2, c.n + 1, c.k, d, c.spec.status), rows)
 
 
-def concatenate(outer, inner: LinearCode):
-    """Concatenated code: outer over GF(2^b) composed with a binary [n_i, b, d_i] inner.
-
-    Returns a LinearCode when the outer generator is available, otherwise the
-    parameter-level CodeSpec [N*n_i, K*b, >= D*d_i].
-    """
-    ospec = outer.spec if isinstance(outer, LinearCode) else outer
+def concatenate(outer: LinearCode, inner: LinearCode) -> LinearCode:
+    """Concatenated code: outer over GF(2^b) composed with a binary [n_i, b, d_i] inner."""
+    ospec = outer.spec
     b = ospec.q.bit_length() - 1
     if inner.q != 2:
         raise ParameterError("inner code must be binary")
@@ -274,9 +270,6 @@ def concatenate(outer, inner: LinearCode):
     n_out = ospec.n * inner.n
     k_out = ospec.k * b
     d_out = ospec.d * inner.spec.d
-    if not isinstance(outer, LinearCode):
-        status = ospec.status if ospec.status != CONSTRUCTED else TABLE_KNOWN
-        return CodeSpec(2, n_out, k_out, d_out, status)
     words = [[0] * inner.n]  # words[s]: the inner codeword of symbol s's bits
     for s in range(1, 1 << b):
         low_bit = (s & -s).bit_length() - 1

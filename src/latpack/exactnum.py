@@ -403,19 +403,17 @@ def hnf_basis(M: IntMatrix) -> IntMatrix:
     return IntMatrix(mat[: len(pivots)])
 
 
-def _first_nonzero(row: list[int]) -> int | None:
-    """Column of the first nonzero entry of an int list, or None when there is none.
+def _span(row: list[int]) -> tuple[int, int] | None:
+    """(first nonzero column, one past the last) of an int list, or None when it is zero.
 
-    filter and list.index scan the zeros in C.
+    filter, list.index and operator.indexOf scan the zeros in C, the trailing
+    ones through a reversed iterator rather than a reversed copy.
     """
     lead = next(filter(None, row), 0)
-    return row.index(lead) if lead else None
-
-
-def _span(row: list[int]) -> tuple[int, int] | None:
-    """(first nonzero column, one past the last) of an int list, or None when it is zero."""
-    lo = _first_nonzero(row)
-    return None if lo is None else (lo, len(row) - _first_nonzero(row[::-1]))
+    if not lead:
+        return None
+    last = next(filter(None, reversed(row)))
+    return row.index(lead), len(row) - operator.indexOf(reversed(row), last)
 
 
 def echelon_pivots(M: IntMatrix) -> list[int] | None:

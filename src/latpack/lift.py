@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import ParameterError
 from .exactnum import (
     IntMatrix,
-    _first_nonzero,
+    _span,
     div_round_half_even,
     is_prime,
     next_prime,
@@ -41,7 +41,6 @@ from .codes import (
     LinearCode,
     concatenate,
     dual_hamming_7_3_4,
-    extend_parity,
     griesmer_length,
     gv_exists,
     gv_max_k,
@@ -100,12 +99,17 @@ def _preimage_lattice(p: CraigParams, code_rows) -> IntegerLattice:
     """Echelon basis of {v in A : v mod 2 in span(code_rows)}: Construction A over B.
 
     Row j of the Craig basis B starts at column j with an odd pivot (+-1 or
-    -l), so B mod 2 is unit upper triangular.  A reduced row v of the code,
-    with pivot i, lifts by one walk down the band: add B[j], for j = i..n-1,
+    -l), so B mod 2 is unit upper triangular.  The code rows, of length n or
+    n+1, are reduced over their first n columns.  A reduced row v, with
+    pivot i, lifts by one walk down the band: add B[j], for j = i..n-1,
     wherever the sum and v differ in parity at column j.  The lift is x*B
-    with x 0/1 and x_i = 1, and is v mod 2 at column n too, as both have even
-    weight.  Row i of the basis is that lift, or 2*B[i] off the code's pivots:
-    echelon, with pivots multiplying to 2^(n-k) * (+-l^(m-1)), k the rank.
+    with x 0/1 and x_i = 1; its column n is the parity of the others, as A
+    mod 2 is the even-weight code.  An even-weight [n+1, k] code lifts as its
+    first n columns do: the walk reads only v[j] for j < n, no reduced row
+    has pivot n (that row would be e_n, of odd weight), and rows independent
+    over n+1 columns stay independent over the first n.  Row i of the basis
+    is the lift, or 2*B[i] off the code's pivots: echelon, with pivots
+    multiplying to 2^(n-k) * (+-l^(m-1)), k the rank.
     """
     n = p.n
     base = craig_basis(p).basis
@@ -113,14 +117,21 @@ def _preimage_lattice(p: CraigParams, code_rows) -> IntegerLattice:
     # Only each row's nonzero span is doubled, or added in the walk.
     rows = [row[:lo] + [2 * a for a in row[lo:hi]] + row[hi:] for row, (lo, hi) in zip(B, spans)]
     V = [list(v) for v in code_rows]  # reduced here, not in the caller's rows
-    for i, v in zip(codes._gf_eliminate(2, V, n + 1), V):
+    for i, v in zip(codes._gf_eliminate(2, V, n), V):
         row = rows[i] = [0] * (n + 1)
         for j in range(i, n):
             if (row[j] ^ v[j]) & 1:
                 lo, hi = spans[j]
                 row[lo:hi] = [a + b for a, b in zip(row[lo:hi], B[j][lo:hi])]
-        spans[i] = (i, n + 1 - _first_nonzero(row[::-1]))
+        spans[i] = _span(row)
     return IntegerLattice(IntMatrix._trusted(rows, spans))
+
+
+def _lift(p: CraigParams, code: LinearCode) -> LiftResult:
+    """The body of both lifts: check the code, then build its preimage under BASIS_CAP."""
+    result = LiftResult(p, code.spec)  # refuses the code before any basis is built
+    result.lattice = _preimage_lattice(p, code.generator) if p.n + 1 <= BASIS_CAP else None
+    return result
 
 
 def lift_sublattice(p: CraigParams, V: LinearCode) -> LiftResult:
@@ -135,20 +146,14 @@ def lift_sublattice(p: CraigParams, V: LinearCode) -> LiftResult:
     for row in V.generator:
         if sum(row) % 2 != 0:
             raise ParameterError("subcode is not inside the even-weight code")
-    result = LiftResult(p, V.spec)  # refuses the code before any basis is built
-    result.lattice = _preimage_lattice(p, V.generator) if p.n + 1 <= BASIS_CAP else None
-    return result
+    return _lift(p, V)
 
 
 def lift_with_length_n_code(p: CraigParams, c: LinearCode) -> LiftResult:
-    """Parity-extend a binary [n, k, >= 8m] code, then lift."""
+    """Lift a binary [n, k, >= 8m] code: A mod 2 is fixed by its first n coordinates."""
     if c.n != p.n:
         raise ParameterError(f"code length must be n = {p.n}")
-    # Checked before the extension, which would round an odd d = 8m - 1 up to 8m.
-    # The extension keeps k, so the lift's density is this code's.
-    result = LiftResult(p, c.spec)
-    result.lattice = lift_sublattice(p, extend_parity(c)).lattice
-    return result
+    return _lift(p, c)
 
 
 def improve_craig_8x(p: int) -> LiftResult:

@@ -4,11 +4,11 @@ Rows latpack builds or parses itself (the Craig basis, a lifted basis,
 LLL's output, a basis file) enter `IntMatrix` through the unchecked
 `IntMatrix._trusted`; every other row still goes through the checked
 constructor.  Each matrix knows its rows' nonzero spans, given by its
-builder or scanned once by `filter` and `list.index`; `echelon_pivots`,
-`left_solver`, `gram_det` and `write_int_rows` read them.  Each is compared
-here with the per-entry definition it replaced (`tests/rowscan_reference.py`),
-every builder's spans with a fresh scan, and an AST walk pins the callers of
-the unchecked constructor.
+builder or scanned once by `filter`, `list.index` and `operator.indexOf`;
+`echelon_pivots`, `left_solver`, `gram_det` and `write_int_rows` read
+them.  Each is compared here with the per-entry definition it replaced
+(`tests/rowscan_reference.py`), every builder's spans with a fresh scan,
+and an AST walk pins the callers of the unchecked constructor.
 """
 
 import ast
@@ -23,7 +23,7 @@ from latpack import craig, exactnum
 from latpack.codes import read_generator
 from latpack.craig import read_basis
 from latpack.errors import ParameterError, ParseError
-from latpack.exactnum import IntMatrix, _first_nonzero, echelon_pivots
+from latpack.exactnum import IntMatrix, _span, echelon_pivots
 from latpack.lift import _preimage_lattice
 from latpack.svp import lll_reduce
 
@@ -107,8 +107,7 @@ def test_row_scans_match_generator_definitions(rows):
     assert echelon_pivots(M) == rowscan_reference.echelon_pivots(rows)
     for row, span in zip(rows, M.spans()):
         lo = next((c for c, a in enumerate(row) if a), None)
-        assert _first_nonzero(row) == lo
-        assert span == (None if lo is None else (lo, rowscan_reference.span_end(row)))
+        assert span == _span(row) == (None if lo is None else (lo, rowscan_reference.span_end(row)))
 
 
 def outcome(f, *args):

@@ -90,19 +90,12 @@ def test_extend_parity_even_weights_exhaustive():
 
 
 def test_concatenate_parameter_arithmetic():
-    out = concatenate(CodeSpec(4, 169, 24, 96, "hypothetical"), single_parity_3_2_2())
-    assert (out.n, out.k, out.d) == (507, 48, 192)
-    assert out.status == "hypothetical"
-
     cc = concatenate(repetition(4, 8), dual_hamming_7_3_4())
     assert (cc.n, cc.k, cc.spec.d) == (28, 3, 16)
     assert min_distance(cc) == 16
 
-    ident = concatenate(CodeSpec(2, 20, 5, 8, "table-known"), repetition(1, 2))
-    assert (ident.n, ident.k, ident.d) == (20, 5, 8)
-
     with pytest.raises(ParameterError):
-        concatenate(CodeSpec(4, 10, 2, 5, "table-known"), dual_hamming_7_3_4())
+        concatenate(repetition(10, 4), dual_hamming_7_3_4())
 
 
 def test_concatenate_distance_at_least_product():

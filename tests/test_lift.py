@@ -22,6 +22,7 @@ from latpack.codes import (
     extend_parity,
     gf_rank,
     gv_max_k,
+    min_distance,
     repetition,
 )
 from latpack.lift import (
@@ -148,7 +149,8 @@ def test_lift_solves_nothing_over_gf2(monkeypatch):
     # Each reduced codeword lifts by a parity walk down the Craig band, so
     # no integer solver runs.  Once the code is built (its rank check
     # eliminates over GF(2)), the lift runs one GF(2) elimination: of a copy
-    # of the k x (n+1) generator, which stays as the caller gave it.
+    # of the k x (n+1) generator, over its first n columns, which stays as
+    # the caller gave it.
     import latpack.codes as codes
     from latpack import craig, lift
 
@@ -172,9 +174,63 @@ def test_lift_solves_nothing_over_gf2(monkeypatch):
     monkeypatch.setattr(exactnum, "solve_left", no_solve)
     assert not hasattr(lift, "left_solver") and not hasattr(lift, "solve_left")
     r = lift_sublattice(p, code)
-    assert calls == [(2, 2, 32)]
+    assert calls == [(2, 2, 31)]
     assert code.generator == generator
     assert r.lattice.vol_sq == craig_basis(p).vol_sq << (2 * 29)
+
+
+def test_length_n_lift_equals_the_parity_extension_route():
+    # A mod 2 is the even-weight code, so Construction A reads only the first
+    # n coordinates: a length-n code lifts, row for row, to the basis of its
+    # parity extension.  Seeded random binary [n, k] codes, 4 <= n <= 60;
+    # the public lifts run where d >= 8, and both refuse a claimed 8m - 1.
+    rnd = random.Random(31)
+    lifted = set()
+    for _ in range(150):
+        n = rnd.randint(4, 60)
+        k = rnd.randint(1, min(5, n - 1))
+        rows = [[rnd.randint(0, 1) for _ in range(n)] for _ in range(k)]
+        if gf_rank(2, rows) < k:
+            continue
+        d = min_distance(even_code(rows, n, 1))
+        c = even_code(rows, n, d)
+        ext = extend_parity(c)
+        l = next_prime(n + 1)
+        p = CraigParams(n, max(1, d // 8), l)
+        assert _preimage_lattice(p, rows).basis.m == _preimage_lattice(p, ext.generator).basis.m
+        if d >= 8:
+            lifted.add(d % 2)
+            got = lift_with_length_n_code(p, c)
+            want = lift_sublattice(p, ext)
+            assert got.lattice.basis.m == want.lattice.basis.m
+            assert got.density.factors == want.density.factors
+        if d >= 7:
+            m = (d + 1) // 8
+            q = CraigParams(n, m, l)
+            for lift, code in ((lift_with_length_n_code, even_code(rows, n, 8 * m - 1)),
+                               (lift_sublattice, even_code(ext.generator, n + 1, 8 * m - 1))):
+                with pytest.raises(ParameterError, match=f"below the required 8m = {8 * m}"):
+                    lift(q, code)
+    assert lifted == {0, 1}  # odd and even d both lifted
+
+
+def test_improve_craig_8x_builds_no_parity_extension(monkeypatch):
+    # The zero-padded [1398, 3] code lifts as it is: besides the concatenated
+    # [1393, 3] code and its padding, no [1399, 3] extension is built.
+    import latpack.codes as codes
+    import latpack.lift as lift
+
+    lengths = []
+    init = codes.LinearCode.__init__
+
+    def counted(self, spec, generator):
+        lengths.append(spec.n)
+        init(self, spec, generator)
+
+    monkeypatch.setattr(codes.LinearCode, "__init__", counted)
+    improve_craig_8x(1399)
+    assert [n for n in lengths if n >= 1393] == [1393, 1398]
+    assert not hasattr(lift, "extend_parity")
 
 
 @pytest.mark.parametrize("dim", [52, 60, 84, 85, 86, 120, 144, 160, 168])
