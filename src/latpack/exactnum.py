@@ -7,7 +7,9 @@ volumes for echelon bases, the integral Gram-Schmidt step behind other
 Gram determinants and LLL, and for products of integer powers (every density
 here is one) their base-2 logarithms rendered to a requested number of
 decimal digits and their exact order, plus the integer-row text format of
-basis and generator files.
+basis and generator files: the writer puts only each row's nonzero span
+through str, and the reader converts each distinct token of a file once
+while most tokens repeat, as in a sparse basis.
 Everything here is pure integer/rational arithmetic; no floating point
 enters any certified path.
 """
@@ -17,6 +19,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
+import sys
 from fractions import Fraction
 
 from .errors import ParameterError, ParseError, RankError
@@ -123,37 +127,68 @@ class IntMatrix:
         )
 
 
-def _int_tokens(tokens, what: str, line: int) -> list[int]:
+# A base-10 spelling int() accepts: sign, then digits with single underscores between.
+_INT_SPELLING = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
+def _int_tokens(tokens, convert, what: str, line: int) -> list[int]:
     try:
-        return list(map(int, tokens))
+        return list(map(convert, tokens))
     except ValueError:
         for t in tokens:  # name the first token int() rejects
             try:
                 int(t)
             except ValueError:
+                if _INT_SPELLING.fullmatch(t):  # an integer past int()'s digit limit
+                    digits = len(t) - t.count("_") - (t[0] in "+-")
+                    raise ParseError(
+                        f"{what} file line {line}: integer {t[:12]!r}... has {digits} digits,"
+                        f" over the limit of {sys.get_int_max_str_digits()}") from None
                 raise ParseError(f"{what} file line {line}: {t!r} is not an integer") from None
         raise
+
+
+class _IntMemo(dict):
+    """token -> int(token) for one file, each distinct token converted once."""
+
+    __slots__ = ()
+
+    def __missing__(self, token):
+        value = self[token] = int(token)
+        return value
 
 
 def read_int_rows(fh, what: str, header: str) -> tuple[list[int], list[list[int]]]:
     """Read a header line of integers named by ``header``, then its rows of integers.
 
     The last two header fields are the row width and the row count.  A short
-    file, a wrong field count, a non-integer token or a non-blank line after
-    the declared rows raises ParseError.
+    file, a wrong field count, a negative width or count, a non-integer token
+    or a non-blank line after the declared rows raises ParseError.
+
+    Every token goes through int().  Rows go through a memo scoped to this
+    call, so a sparse file converts each distinct token once.  Once the memo
+    holds more than half a row's width of tokens the file is mostly
+    distinct, and its remaining rows go through int() directly.
     """
     fields = fh.readline().split()
     if len(fields) != len(header.split()):
         raise ParseError(f"{what} file must start with '{header}'")
-    head = _int_tokens(fields, what, 1)
+    head = _int_tokens(fields, int, what, 1)
     width, count = head[-2:]
+    if width < 0 or count < 0:
+        raise ParseError(f"{what} file line 1: row width {width} and row count {count}"
+                         " must not be negative")
+    memo = _IntMemo()
+    convert = memo.__getitem__
     rows = []
     for i in range(count):
         line = fh.readline()
         parts = line.split()
         if not line or len(parts) != width:
             raise ParseError(f"{what} row {i + 1} must have {width} entries")
-        rows.append(_int_tokens(parts, what, i + 2))
+        rows.append(_int_tokens(parts, convert, what, i + 2))
+        if 2 * len(memo) > width:
+            convert = int
     for i, line in enumerate(fh, count + 2):
         if line.strip():
             raise ParseError(f"{what} file line {i}: more rows than the header's {count}")

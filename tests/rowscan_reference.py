@@ -1,18 +1,19 @@
-"""Reference row scans, row writer and solvers for the differential tests of `latpack.exactnum`.
+"""Reference row scans, row writer and reader, and solvers for the differential tests of `latpack.exactnum`.
 
 The scans and the writer are the definitions `latpack.exactnum` used before
 its row scans went through `filter` and `list.index` and its writer through
 zero runs, copied unchanged: every entry is visited in Python bytecode.
 `left_solver` and `gram_det` are the ones it used before rows kept their
-spans, on these scans: every call scans every row of the basis again.  Test
-oracles only.
+spans, on these scans: every call scans every row of the basis again.
+`read_int_rows` is the reader before tokens went through a memo: every
+token of every line goes through its own int() call.  Test oracles only.
 """
 
 from __future__ import annotations
 
 import math
 
-from latpack.errors import ParameterError
+from latpack.errors import ParameterError, ParseError
 from latpack.exactnum import gso_extend
 
 
@@ -36,6 +37,38 @@ def write_int_rows(fh, header, rows) -> None:
     """The header line, then one line per row, every entry through str."""
     for row in [header, *rows]:
         fh.write(" ".join(str(x) for x in row) + "\n")
+
+
+def _int_tokens(tokens, what: str, line: int) -> list[int]:
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        for t in tokens:  # name the first token int() rejects
+            try:
+                int(t)
+            except ValueError:
+                raise ParseError(f"{what} file line {line}: {t!r} is not an integer") from None
+        raise
+
+
+def read_int_rows(fh, what: str, header: str) -> tuple[list[int], list[list[int]]]:
+    """A header line of integers, then its rows: one list(map(int, ...)) per line."""
+    fields = fh.readline().split()
+    if len(fields) != len(header.split()):
+        raise ParseError(f"{what} file must start with '{header}'")
+    head = _int_tokens(fields, what, 1)
+    width, count = head[-2:]
+    rows = []
+    for i in range(count):
+        line = fh.readline()
+        parts = line.split()
+        if not line or len(parts) != width:
+            raise ParseError(f"{what} row {i + 1} must have {width} entries")
+        rows.append(_int_tokens(parts, what, i + 2))
+    for i, line in enumerate(fh, count + 2):
+        if line.strip():
+            raise ParseError(f"{what} file line {i}: more rows than the header's {count}")
+    return head, rows
 
 
 def left_solver(B):

@@ -6,13 +6,16 @@ LLL's output, a basis file) enter `IntMatrix` through the unchecked
 constructor.  Each matrix knows its rows' nonzero spans, given by its
 builder or scanned once by `filter`, `list.index` and `operator.indexOf`;
 `echelon_pivots`, `left_solver`, `gram_det` and `write_int_rows` read
-them.  Each is compared here with the per-entry definition it replaced
+them, and `read_int_rows` converts each distinct token of a file once.
+Each is compared here with the per-entry definition it replaced
 (`tests/rowscan_reference.py`), every builder's spans with a fresh scan,
 and an AST walk pins the callers of the unchecked constructor.
 """
 
 import ast
 import io
+import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from latpack import craig, exactnum
+from latpack.cli import run
 from latpack.codes import read_generator
 from latpack.craig import read_basis
 from latpack.errors import ParameterError, ParseError
@@ -158,8 +162,8 @@ def trusted_callers() -> set[str]:
 
 
 def test_trusted_constructor_serves_only_rows_latpack_builds():
-    # read_basis: read_int_rows has put every token through int() and held
-    # every row to the header's width.
+    # read_basis: read_int_rows has put every token through int(), by its
+    # memo or directly, and held every row to the header's width.
     assert trusted_callers() == {"craig.craig_basis", "lift._preimage_lattice",
                                  "svp.lll_reduce", "craig.read_basis"}
     p = craig.CraigParams(12, 3, 13)
@@ -217,3 +221,153 @@ def test_read_basis_refuses_as_it_did(text, error, message):
     with pytest.raises(error) as info:
         read_basis(io.StringIO(text))
     assert type(info.value) is error and str(info.value) == message
+
+
+# Spellings int() accepts beyond str()'s own (sign, zeros, underscores, a
+# non-ASCII digit), and tokens it rejects.
+ACCEPTED = ["0", "0", "0", "-0", "00", "1", "-1", "+1", "1_0", "\u0663", "97", "-97"]
+REJECTED = ["x", "1.5", "0x1", "1__0", "_1"]
+long_ints = st.integers(10**59, 10**60 - 1).flatmap(lambda v: st.sampled_from([str(v), f"-{v}"]))
+
+
+@st.composite
+def int_row_files(draw):
+    """(text, what, header) of an integer-row file whose rows are heavy with
+    repeats (the memo) or with distinct 60-digit integers (the fallback),
+    and with at most one fault: a bad header, a rejected token, a ragged
+    row, a short file or an extra row.  Blank lines may trail."""
+    what, header = draw(st.sampled_from([("basis", "N r"), ("generator", "q n k")]))
+    width, count = draw(st.integers(0, 9)), draw(st.integers(0, 6))
+    fields = [str(width), str(count)] if what == "basis" else ["2", str(width), str(count)]
+    fault = draw(st.sampled_from([None, None, None, "fields", "header", "token", "ragged",
+                                  "short", "extra"]))
+    if fault == "fields":
+        fields = fields[1:]
+    elif fault == "header":
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(REJECTED))
+    n_rows = count + (fault == "extra")
+    if fault == "short":
+        n_rows = draw(st.integers(0, max(count - 1, 0)))
+    at = draw(st.integers(0, max(n_rows - 1, 0)))
+    lines = [" ".join(fields)]
+    for i in range(n_rows):
+        size = abs(width + (draw(st.sampled_from([-1, 1])) if fault == "ragged" and i == at else 0))
+        pool = long_ints if draw(st.booleans()) else st.sampled_from(ACCEPTED)
+        row = draw(st.lists(pool, min_size=size, max_size=size, unique=pool is long_ints))
+        if fault == "token" and i == at and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(REJECTED))
+        lines.append(" ".join(row))
+    lines += draw(st.lists(st.sampled_from(["", "  "]), max_size=2))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""])), what, header
+
+
+def read_outcome(read, text, what, header):
+    """read(text, what, header), or the type and message of the ParseError it raises."""
+    try:
+        return read(io.StringIO(text), what, header)
+    except ParseError as e:
+        return type(e), str(e)
+
+
+@given(int_row_files())
+@example((f"4 3\n{' '.join(map(str, range(10**59, 10**59 + 4)))}\n0 0 1 0\n1_0 x 0 0\n", "basis", "N r"))
+@example(("3 2\n+1 -0 00\n\u0663 1_0 -1\n\n  \n", "basis", "N r"))
+@example(("2 4 1\n1 0 1 1\n1 0 1 1\n", "generator", "q n k"))
+@example(("2 3\n1 0\n", "basis", "N r"))
+def test_read_int_rows_matches_per_line_int(case):
+    text, what, header = case
+    got = read_outcome(exactnum.read_int_rows, text, what, header)
+    assert got == read_outcome(rowscan_reference.read_int_rows, text, what, header)
+    if got[0] is not ParseError:
+        head, rows = got
+        assert len({id(row) for row in rows}) == len(rows)
+
+
+class MemoSpy(exactnum._IntMemo):
+    """The reader's memo, counting its lookups and its misses (int() calls)."""
+
+    made = []
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = self.misses = 0
+        self.made.append(self)
+
+    def __getitem__(self, token):
+        self.lookups += 1
+        return super().__getitem__(token)
+
+    def __missing__(self, token):
+        self.misses += 1
+        return super().__missing__(token)
+
+
+def spied_read(monkeypatch, read, text):
+    MemoSpy.made = []
+    monkeypatch.setattr(exactnum, "_IntMemo", MemoSpy)
+    read(io.StringIO(text))
+    (memo,) = MemoSpy.made
+    assert memo.misses == len(memo)
+    return memo
+
+
+def test_memo_converts_each_distinct_token_once(monkeypatch):
+    p = craig.CraigParams(95, 3, 97)
+    buf = io.StringIO()
+    craig.write_basis(craig.craig_basis(p), buf)
+    memo = spied_read(monkeypatch, read_basis, buf.getvalue())
+    assert memo.misses <= p.m + 4 and memo.lookups == 95 * 96  # never falls back
+
+    rng = random.Random(5)
+    gen = [[1 if c == i else rng.randint(0, 1) for c in range(31)] for i in range(6)]
+    memo = spied_read(monkeypatch, read_generator, written(exactnum.write_int_rows, [2, 31, 6], gen))
+    assert memo.misses == 2 and memo.lookups == 6 * 31
+
+    values = rng.sample(range(10**11, 10**12), 40 * 41)
+    rows = [values[i * 41:(i + 1) * 41] for i in range(40)]
+    memo = spied_read(monkeypatch, read_basis, written(exactnum.write_int_rows, [41, 40], rows))
+    assert memo.misses == memo.lookups == 41  # the first row trips the rule
+
+
+@pytest.fixture
+def digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("read, what, text, line", [
+    (read_basis, "basis", "3 2\n1 -1 0\n0 {} -1\n", 3),
+    (read_generator, "generator", "2 3 1\n{} 0 1\n", 2),
+])
+@pytest.mark.parametrize("token", ["1" * 5000, "-" + "1" * 5000, "1_" * 4999 + "1"])
+def test_oversized_integer_token_names_digits_and_limit(
+        digit_limit, tmp_path, capsys, read, what, text, line, token):
+    message = (f"{what} file line {line}: integer {token[:12]!r}... has 5000 digits,"
+               f" over the limit of {digit_limit}")
+    with pytest.raises(ParseError) as info:
+        read(io.StringIO(text.format(token)))
+    assert str(info.value) == message
+    path = tmp_path / "file.txt"
+    path.write_text(text.format(token))
+    argv = (["verify", "--basis", str(path), "--bound", "2"] if read is read_basis
+            else ["lift", "--n", "2", "--m", "1", "--l", "3", "--code", str(path)])
+    assert run(argv, io.StringIO()) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # A digit run past the limit that is no integer is still refused as one.
+    with pytest.raises(ParseError, match="is not an integer"):
+        read(io.StringIO(text.format("1" * 5000 + "x")))
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (read_basis, "-3 2\n1 2 3\n", "basis file line 1: row width -3 and row count 2 must not be negative"),
+    (read_basis, "3 -1\n", "basis file line 1: row width 3 and row count -1 must not be negative"),
+    (read_generator, "2 -3 1\n1 0 1\n",
+     "generator file line 1: row width -3 and row count 1 must not be negative"),
+    (read_generator, "2 3 -2\n", "generator file line 1: row width 3 and row count -2 must not be negative"),
+])
+def test_negative_header_fields_are_refused(read, text, message):
+    with pytest.raises(ParseError) as info:
+        read(io.StringIO(text))
+    assert str(info.value) == message
